@@ -13,7 +13,6 @@ from .core import (
     BudgetExceededError,
     DomainError,
     EvalOracle,
-    Point,
     RandomStream,
     Transcript,
     initial_error,
@@ -27,7 +26,6 @@ __all__ = [
     "BudgetExceededError",
     "DomainError",
     "EvalOracle",
-    "Point",
     "RandomStream",
     "Transcript",
     "__version__",

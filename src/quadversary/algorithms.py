@@ -9,13 +9,11 @@ the same seed replays the identical transcript.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, Point, RandomStream, Transcript
+from .core import DomainError, EvalOracle, RandomStream, Transcript
 from .monotone import threshold_values
 
 __all__ = [
@@ -33,54 +31,30 @@ __all__ = [
 
 
 def threshold_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(
-        dim=dim,
-        fn=lambda x: float(x.sum() >= dim / 2.0),
-        class_tag="monotone",
-        batch_fn=lambda pts: threshold_values(pts).astype(float),
-        name="threshold",
-    )
+    return EvalOracle(dim=dim, fn=threshold_values, class_tag="monotone", name="threshold")
 
 
 def product_oracle(dim: int) -> EvalOracle:
     return EvalOracle(
-        dim=dim,
-        fn=lambda x: float(np.prod(x)),
-        class_tag="monotone",
-        batch_fn=lambda pts: np.prod(pts, axis=1),
-        name="product",
+        dim=dim, fn=lambda pts: np.prod(pts, axis=1), class_tag="monotone", name="product"
     )
 
 
 def affine_oracle(dim: int) -> EvalOracle:
     # The coordinate mean is linear, hence both monotone and convex.
-    return EvalOracle(
-        dim=dim,
-        fn=lambda x: float(x.mean()),
-        class_tag="convex",
-        batch_fn=lambda pts: pts.mean(axis=1),
-        name="affine",
-    )
+    return EvalOracle(dim=dim, fn=lambda pts: pts.mean(axis=1), class_tag="convex", name="affine")
 
 
 def square_oracle(dim: int) -> EvalOracle:
     return EvalOracle(
-        dim=dim,
-        fn=lambda x: float((x * x).mean()),
-        class_tag="convex",
-        batch_fn=lambda pts: (pts * pts).mean(axis=1),
-        name="square",
+        dim=dim, fn=lambda pts: (pts * pts).mean(axis=1), class_tag="convex", name="square"
     )
 
 
 def zero_oracle(dim: int) -> EvalOracle:
     """The probe integrand for the convex adversary."""
     return EvalOracle(
-        dim=dim,
-        fn=lambda x: 0.0,
-        class_tag="convex",
-        batch_fn=lambda pts: np.zeros(pts.shape[0]),
-        name="zero",
+        dim=dim, fn=lambda pts: np.zeros(pts.shape[0]), class_tag="convex", name="zero"
     )
 
 
@@ -112,8 +86,28 @@ def true_integral(oracle_id: str, dim: int) -> float | None:
 
 
 def _mean_or_half(transcript: Transcript) -> float:
-    values = transcript.values()
-    return float(np.mean(values)) if values else 0.5
+    return float(transcript.values.mean()) if transcript.n else 0.5
+
+
+def _digits(j: int, base: int, dim: int) -> list[int]:
+    """The dim base-``base`` digits of j, most significant first."""
+    digits = []
+    for _ in range(dim):
+        j, r = divmod(j, base)
+        digits.append(r)
+    return digits[::-1]
+
+
+def _lattice_side(dim: int, budget: int) -> int:
+    """Smallest m with m**dim >= budget, by integer bisection."""
+    lo, hi = 1, 1 << -(-budget.bit_length() // dim)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**dim >= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ class ConstantHalf:
 
     dim: int
 
-    def next_query(self, transcript: Transcript) -> Point | None:
+    def next_query(self, transcript: Transcript) -> np.ndarray | None:
         return None
 
     def finalize(self, transcript: Transcript) -> float:
@@ -141,39 +135,31 @@ class UniformRandomSampler:
     budget: int
     stream: RandomStream
 
-    def next_query(self, transcript: Transcript) -> Point | None:
+    def next_query(self, transcript: Transcript) -> np.ndarray | None:
         if transcript.n >= self.budget:
             return None
-        gen = self.stream.substream("query", transcript.n).generator()
-        return Point.from_array(gen.random(self.dim))
+        return self.stream.substream("query", transcript.n).generator().random(self.dim)
 
     def finalize(self, transcript: Transcript) -> float:
         return _mean_or_half(transcript)
 
 
-def _lattice_points(dim: int, budget: int) -> tuple[tuple[float, ...], ...]:
-    if budget == 0:
-        return ()
-    m = max(1, math.ceil(budget ** (1.0 / dim)))
-    while m**dim < budget:
-        m += 1
-    centers = [(i + 0.5) / m for i in range(m)]
-    product = itertools.product(centers, repeat=dim)
-    return tuple(itertools.islice(product, budget))
-
-
 @dataclass(frozen=True)
 class GridScanSampler:
-    """Queries the first budget-many cell centers of a uniform lattice."""
+    """Queries the first budget-many cell centers of the smallest m^d lattice.
+
+    Query j is the cell center (i + 1/2) / m whose indices i are the base-m
+    digits of j, the lexicographic order of the lattice.
+    """
 
     dim: int
     budget: int
 
-    def next_query(self, transcript: Transcript) -> Point | None:
-        points = _lattice_points(self.dim, self.budget)
-        if transcript.n >= len(points):
+    def next_query(self, transcript: Transcript) -> np.ndarray | None:
+        if transcript.n >= self.budget:
             return None
-        return Point(points[transcript.n])
+        m = _lattice_side(self.dim, self.budget)
+        return np.array([(i + 0.5) / m for i in _digits(transcript.n, m, self.dim)])
 
     def finalize(self, transcript: Transcript) -> float:
         return _mean_or_half(transcript)
@@ -186,11 +172,10 @@ class VertexScanSampler:
     dim: int
     budget: int
 
-    def next_query(self, transcript: Transcript) -> Point | None:
+    def next_query(self, transcript: Transcript) -> np.ndarray | None:
         if transcript.n >= min(self.budget, 2**self.dim):
             return None
-        bits = format(transcript.n, f"0{self.dim}b")
-        return Point(tuple(float(b) for b in bits))
+        return np.array(_digits(transcript.n, 2, self.dim), dtype=float)
 
     def finalize(self, transcript: Transcript) -> float:
         return _mean_or_half(transcript)

@@ -81,7 +81,6 @@ class ExperimentConfig:
     problem_class: str = "monotone"
     dim: int = 2
     budget: int = 0
-    eps: float = 0.25
     seed: int = 0
     mc_samples: int = 10_000
     algorithm_id: str = "constant-half"
@@ -93,8 +92,6 @@ class ExperimentConfig:
             raise ConfigError("d must be at least 1")
         if self.budget < 0:
             raise ConfigError("budget must be nonnegative")
-        if not (0.0 < self.eps < 0.5):
-            raise ConfigError("eps must lie in (0, 1/2)")
         if self.mc_samples < 1:
             raise ConfigError("mc-samples must be at least 1")
         if not (0 <= self.seed < 2**64):
@@ -160,7 +157,6 @@ def cmd_adversary(args) -> int:
         problem_class=args.problem_class,
         dim=args.d,
         budget=args.budget,
-        eps=args.eps,
         seed=args.seed,
         mc_samples=args.mc_samples,
         algorithm_id=args.algorithm,
@@ -177,9 +173,7 @@ def cmd_adversary(args) -> int:
         oracle = algorithms.make_oracle("threshold", config.dim)
         transcript, _ = run_algorithm(alg, oracle, config.budget)
         pair = monotone.build_fooling_pair(
-            transcript.points_array() if transcript.n else [],
-            config.dim,
-            stream=stream.substream("gap-volume"),
+            transcript.points, config.dim, stream=stream.substream("gap-volume")
         )
         certified = pair.exact_gap / 2.0
         theorem = monotone.error_lower_bound(pair.n, config.dim)
@@ -203,7 +197,7 @@ def cmd_adversary(args) -> int:
 
     oracle = algorithms.zero_oracle(config.dim)
     transcript, _ = run_algorithm(alg, oracle, config.budget)
-    samples = convex.SampleSet.from_points(transcript.points(), config.dim)
+    samples = convex.SampleSet(transcript.points, config.dim)
     estimate = convex.empirical_error_lower_bound(
         samples, config.mc_samples, stream.substream("hull-mc")
     )
@@ -321,7 +315,6 @@ def cmd_quad(args) -> int:
         command="quad",
         dim=args.d,
         seed=args.seed,
-        mc_samples=args.mc_samples,
         budget=max(args.n, 0),
     )
     config.validate()
@@ -391,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="problem_class", choices=("monotone", "convex"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--mc-samples", type=int, default=10_000)
     p.add_argument("--algorithm", type=str, default="constant-half",
                    help=f"one of {', '.join(algorithms.ALGORITHM_IDS)}")
@@ -426,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=4, help="staircase cells per axis")
     p.add_argument("--n", type=int, default=0, help="Monte Carlo sample count")
-    p.add_argument("--mc-samples", type=int, default=10_000)
     add_common(p)
     p.set_defaults(fn=cmd_quad)
 

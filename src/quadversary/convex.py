@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import lp
-from .core import DomainError, Point, RandomStream, uniform_blocks
+from .core import DomainError, RandomStream, as_points, uniform_blocks
 from .monotone import ConvergenceError
 
 __all__ = [
@@ -67,15 +67,7 @@ class SampleSet:
     dim: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.points, dtype=float)
-        if arr.size == 0:
-            arr = np.zeros((0, self.dim))
-        arr = np.atleast_2d(arr)
-        if arr.shape[1] != self.dim:
-            raise DomainError(f"points have dim {arr.shape[1]}, expected {self.dim}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise DomainError("sample points must lie in the unit cube")
-        object.__setattr__(self, "points", arr)
+        object.__setattr__(self, "points", as_points(self.points, self.dim))
 
     @property
     def n(self) -> int:
@@ -84,12 +76,6 @@ class SampleSet:
     @staticmethod
     def empty(dim: int) -> "SampleSet":
         return SampleSet(np.zeros((0, dim)), dim)
-
-    @staticmethod
-    def from_points(points: Sequence[Point], dim: int) -> "SampleSet":
-        if not points:
-            return SampleSet.empty(dim)
-        return SampleSet(np.array([p.coords for p in points], dtype=float), dim)
 
 
 def _query_rhs(queries: np.ndarray) -> np.ndarray:
@@ -138,17 +124,12 @@ class MaximalConvexEvaluator:
         program = lp.LinearProgram(self._objective, self._constraints, rhs)
         return lp.solve(program)
 
-    def value(self, x: np.ndarray | Point | Sequence[float]) -> float:
-        arr = x.as_array() if isinstance(x, Point) else np.asarray(x, dtype=float)
-        return float(self.values(arr[None, :])[0])
+    def value(self, x: np.ndarray | Sequence[float]) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
     def values(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) batch of query points."""
-        pts = np.atleast_2d(np.asarray(queries, dtype=float))
-        if pts.shape[1] != self.samples.dim:
-            raise DomainError(f"queries have dim {pts.shape[1]}, expected {self.samples.dim}")
-        if pts.size and (pts.min() < -1e-12 or pts.max() > 1.0 + 1e-12):
-            raise DomainError("query points must lie in the unit cube")
+        pts = as_points(np.atleast_2d(queries), self.samples.dim)
         n_q = pts.shape[0]
         if self.samples.n == 0:
             return np.ones(n_q)  # no mass at height 0: the hull is the top face
@@ -182,15 +163,12 @@ class MaximalConvexEvaluator:
         return np.clip(1.0 - best, 0.0, 1.0)
 
 
-def maximal_convex_value(
-    x: np.ndarray | Point | Sequence[float], samples: SampleSet
-) -> float:
+def maximal_convex_value(x: np.ndarray | Sequence[float], samples: SampleSet) -> float:
     """Single-query LP evaluation (no basis cache); see the evaluator class."""
-    arr = x.as_array() if isinstance(x, Point) else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.shape != (samples.dim,):
         raise DomainError(f"query has shape {arr.shape}, expected ({samples.dim},)")
-    if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
-        raise DomainError("query point must lie in the unit cube")
+    as_points(arr[None, :], samples.dim)
     if samples.n == 0:
         return 1.0
     constraints, objective = _membership_program(samples)
@@ -246,7 +224,7 @@ def empirical_error_lower_bound(
 
 
 def caratheodory_cube_decomposition(
-    x: np.ndarray | Point | Sequence[float],
+    x: np.ndarray | Sequence[float],
 ) -> list[tuple[tuple[int, ...], float]]:
     """Write a cube point as a convex combination of at most d+1 vertices.
 
@@ -255,11 +233,10 @@ def caratheodory_cube_decomposition(
     coordinates, and take consecutive differences as weights.  Zero weights
     are dropped; the remaining weights are positive and sum to one.
     """
-    arr = x.as_array() if isinstance(x, Point) else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DomainError("expected a single point")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise DomainError("point must lie in the unit cube")
+    as_points(arr[None, :], arr.size)
     d = arr.size
     order = np.argsort(-arr, kind="stable")
     sorted_vals = arr[order]

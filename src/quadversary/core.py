@@ -4,7 +4,8 @@ Integrands are [0, 1]-valued functions on the closed unit cube [0, 1]^d.  An
 algorithm may query finitely many function values, each query point possibly
 depending on the values seen so far, and must then commit to a single output.
 Everything downstream (adversaries, bound calculators, baselines) works with
-the transcript of (point, value) records produced by :func:`run_algorithm`.
+the transcript produced by :func:`run_algorithm`: an (n, d) array of query
+points and the n values returned there.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -20,10 +21,10 @@ __all__ = [
     "BudgetExceededError",
     "DomainError",
     "EvalOracle",
-    "Point",
     "Transcript",
     "AdaptiveCubature",
     "RandomStream",
+    "as_points",
     "initial_error",
     "run_algorithm",
 ]
@@ -39,51 +40,36 @@ class BudgetExceededError(RuntimeError):
     """An algorithm attempted a query beyond its information budget."""
 
 
-@dataclass(frozen=True)
-class Point:
-    """A location in the closed unit cube [0, 1]^d.
+def as_points(points, dim: int) -> np.ndarray:
+    """Validate points of the closed unit cube [0, 1]^dim as an (n, dim) array.
 
-    Coordinates are validated on construction; out-of-range values raise
-    :class:`DomainError` rather than being clamped, since silent clamping
-    would corrupt the adversary geometry downstream.
+    This is the one point validator of the library.  Out-of-range coordinates
+    raise :class:`DomainError` rather than being clamped, since silent
+    clamping would corrupt the adversary geometry downstream.  Any empty input
+    is the empty (0, dim) array.
     """
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if not coords:
-            raise DomainError("a point needs at least one coordinate")
-        for c in coords:
-            if not (0.0 <= c <= 1.0):
-                raise DomainError(f"coordinate {c!r} outside [0, 1]")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-    @staticmethod
-    def from_array(arr: Sequence[float]) -> "Point":
-        return Point(tuple(float(c) for c in arr))
+    arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
+        return np.zeros((0, dim))
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DomainError(f"expected an (n, {dim}) array of points, got shape {arr.shape}")
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise DomainError("points must lie in the unit cube [0, 1]^d")
+    return arr
 
 
 @dataclass(frozen=True)
 class EvalOracle:
     """Function-value access to one integrand f: [0,1]^d -> [0,1].
 
-    ``fn`` evaluates a single coordinate vector; ``batch_fn``, when given,
-    evaluates an (N, d) array in one call and must agree with ``fn``.
-    Values outside [0, 1] raise :class:`DomainError`.
+    ``fn`` maps an (N, d) array of points to their N values.  Points are
+    validated before ``fn`` sees them; values outside [0, 1] raise
+    :class:`DomainError`.
     """
 
     dim: int
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     class_tag: str = "unrestricted"
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -92,83 +78,75 @@ class EvalOracle:
         if self.class_tag not in CLASS_TAGS:
             raise DomainError(f"unknown class tag {self.class_tag!r}")
 
-    def evaluate(self, point: Point) -> float:
-        if point.dim != self.dim:
-            raise DomainError(f"point has dim {point.dim}, oracle expects {self.dim}")
-        value = float(self.fn(point.as_array()))
-        if not (0.0 <= value <= 1.0):
-            raise DomainError(f"oracle value {value!r} outside [0, 1]")
-        return value
-
-    def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate many points given as an (N, d) array."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DomainError(f"expected an (N, {self.dim}) array, got shape {pts.shape}")
-        if self.batch_fn is not None:
-            values = np.asarray(self.batch_fn(pts), dtype=float)
-        else:
-            values = np.array([float(self.fn(p)) for p in pts])
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate an (N, d) array of points."""
+        pts = as_points(points, self.dim)
+        values = np.asarray(self.fn(pts), dtype=float)
         if values.shape != (pts.shape[0],):
-            raise DomainError("batch evaluation returned a wrong shape")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+            raise DomainError("oracle returned a wrong shape")
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
             raise DomainError("oracle returned values outside [0, 1]")
         return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """Ordered record of queries and the values the oracle returned."""
+    """Queried points as an (n, d) array and the n values returned there.
 
-    records: tuple[tuple[Point, float], ...] = ()
+    Both arrays are read-only, so an algorithm may keep any transcript it is
+    handed: later queries never change it.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("points", "values"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.values.shape[0]
 
-    def points(self) -> list[Point]:
-        return [p for p, _ in self.records]
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.records]
-
-    def points_array(self) -> np.ndarray:
-        """Queried points as an (n, d) array; shape (0, 0) when empty."""
-        if not self.records:
-            return np.zeros((0, 0))
-        return np.array([p.coords for p, _ in self.records], dtype=float)
-
-    def with_record(self, point: Point, value: float) -> "Transcript":
-        return Transcript(self.records + ((point, float(value)),))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return np.array_equal(self.points, other.points) and np.array_equal(
+            self.values, other.values
+        )
 
     def to_json_obj(self) -> list[dict]:
-        return [{"point": list(p.coords), "value": v} for p, v in self.records]
+        return [
+            {"point": p, "value": v}
+            for p, v in zip(self.points.tolist(), self.values.tolist())
+        ]
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 
     @staticmethod
     def from_json(text: str) -> "Transcript":
-        records = tuple(
-            (Point(tuple(item["point"])), float(item["value"]))
-            for item in json.loads(text)
-        )
-        return Transcript(records)
+        items = json.loads(text)
+        points = np.asarray([item["point"] for item in items], dtype=float)
+        values = np.asarray([item["value"] for item in items], dtype=float)
+        return Transcript(as_points(points, points.shape[-1]), values)
 
 
 @runtime_checkable
 class AdaptiveCubature(Protocol):
     """Interface every registered cubature algorithm implements.
 
-    ``next_query`` maps the transcript so far to the next sample point, or
-    ``None`` to stop querying; it must be deterministic given the algorithm's
-    own configuration (including any seed).  ``finalize`` maps the complete
-    transcript to the output value.
+    ``next_query`` maps the transcript so far to the next sample point, a
+    length-d array, or ``None`` to stop querying; it must be deterministic
+    given the algorithm's own configuration (including any seed).
+    ``finalize`` maps the complete transcript to the output value.
     """
 
     dim: int
 
-    def next_query(self, transcript: Transcript) -> Point | None: ...
+    def next_query(self, transcript: Transcript) -> np.ndarray | None: ...
 
     def finalize(self, transcript: Transcript) -> float: ...
 
@@ -182,24 +160,36 @@ def run_algorithm(
     query once ``budget`` records exist raises :class:`BudgetExceededError`
     (an error, not a truncation, so the reported n stays well defined).
     Repeated queries at the same point are allowed and each one counts.
+
+    Records go into buffers that double when full, and each transcript handed
+    to the algorithm is a read-only view of the first n rows, so a run costs
+    time linear in n.  Rows once written are never rewritten, which keeps
+    every earlier view valid.
     """
     if budget < 0:
         raise DomainError("budget must be nonnegative")
     if alg.dim != oracle.dim:
         raise DomainError(f"algorithm dim {alg.dim} does not match oracle dim {oracle.dim}")
-    transcript = Transcript()
+    points = np.empty((16, oracle.dim))  # never `budget` rows: budgets are user input
+    values = np.empty(16)
+    n = 0
     while True:
+        transcript = Transcript(points[:n], values[:n])
         query = alg.next_query(transcript)
         if query is None:
             break
-        if transcript.n >= budget:
-            raise BudgetExceededError(
-                f"algorithm requested query {transcript.n + 1} with budget {budget}"
-            )
-        if query.dim != oracle.dim:
-            raise DomainError(f"query dim {query.dim} does not match oracle dim {oracle.dim}")
-        value = oracle.evaluate(query)
-        transcript = transcript.with_record(query, value)
+        if n >= budget:
+            raise BudgetExceededError(f"algorithm requested query {n + 1} with budget {budget}")
+        row = np.asarray(query, dtype=float)
+        if row.shape != (oracle.dim,):
+            raise DomainError(f"query has shape {row.shape}, oracle expects ({oracle.dim},)")
+        value = oracle.evaluate(row[None, :])[0]
+        if n == values.shape[0]:
+            points = np.concatenate((points, np.empty_like(points)))
+            values = np.concatenate((values, np.empty_like(values)))
+        points[n] = row
+        values[n] = value
+        n += 1
     return transcript, float(alg.finalize(transcript))
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import DomainError, EvalOracle, Point, RandomStream
+from .core import DomainError, EvalOracle, RandomStream, as_points
 
 __all__ = [
     "ConvergenceError",
@@ -28,7 +28,6 @@ __all__ = [
     "build_fooling_pair",
     "complexity_lower_bound",
     "error_lower_bound",
-    "exact_gap",
     "simplex_product_max",
     "threshold_value",
     "threshold_values",
@@ -45,27 +44,9 @@ class ConvergenceError(RuntimeError):
     """A numerical routine failed to converge; message carries diagnostics."""
 
 
-def _as_points_array(points: Sequence[Point] | np.ndarray | Iterable, dim: int) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=float)
-        if arr.size == 0:
-            return np.zeros((0, dim))
-        arr = np.atleast_2d(arr)
-    else:
-        rows = [p.coords if isinstance(p, Point) else tuple(p) for p in points]
-        if not rows:
-            return np.zeros((0, dim))
-        arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != dim:
-        raise DomainError(f"points have dim {arr.shape[1]}, expected {dim}")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise DomainError("points must lie in the unit cube")
-    return arr
-
-
-def threshold_value(x: Point | Sequence[float] | np.ndarray) -> int:
+def threshold_value(x: Sequence[float] | np.ndarray) -> int:
     """0/1 step at half the coordinate sum; the boundary maps to 1."""
-    arr = x.as_array() if isinstance(x, Point) else np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     return int(arr.sum() >= arr.size / 2.0)
 
 
@@ -112,7 +93,7 @@ def _union_membership(points: np.ndarray, corners: np.ndarray, mode: str) -> np.
 
 
 def union_box_volume(
-    corners: Sequence[Point] | np.ndarray,
+    corners: np.ndarray,
     mode: str,
     *,
     exact_cap: int = EXACT_CORNER_CAP,
@@ -127,16 +108,10 @@ def union_box_volume(
     """
     if mode not in ("lower", "upper"):
         raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
-    if isinstance(corners, np.ndarray):
-        arr = _as_points_array(corners, corners.shape[-1]) if corners.size else np.zeros((0, 1))
-    else:
-        pts = list(corners)
-        if not pts:
-            return UnionVolume(0.0, exact=True)
-        dim = pts[0].dim if isinstance(pts[0], Point) else len(pts[0])
-        arr = _as_points_array(pts, dim)
-    if arr.shape[0] == 0:
+    arr = np.asarray(corners, dtype=float)
+    if arr.size == 0:
         return UnionVolume(0.0, exact=True)
+    arr = as_points(arr, arr.shape[-1])
     arr = np.unique(arr, axis=0)  # duplicates cannot change the union
     k, d = arr.shape
 
@@ -198,31 +173,17 @@ class MonotoneFoolingPair:
         above = _union_membership(pts, self.upper_corners, "upper")
         return np.where(above, 1.0, 0.0)
 
-    def fplus(self, x: Point | np.ndarray) -> float:
-        arr = x.as_array() if isinstance(x, Point) else np.asarray(x, dtype=float)
-        return float(self.fplus_values(arr[None, :])[0])
+    def fplus(self, x: np.ndarray) -> float:
+        return float(self.fplus_values(np.asarray(x, dtype=float)[None, :])[0])
 
-    def fminus(self, x: Point | np.ndarray) -> float:
-        arr = x.as_array() if isinstance(x, Point) else np.asarray(x, dtype=float)
-        return float(self.fminus_values(arr[None, :])[0])
+    def fminus(self, x: np.ndarray) -> float:
+        return float(self.fminus_values(np.asarray(x, dtype=float)[None, :])[0])
 
     def fplus_oracle(self) -> EvalOracle:
-        return EvalOracle(
-            dim=self.dim,
-            fn=lambda a: float(self.fplus_values(a[None, :])[0]),
-            class_tag="monotone",
-            batch_fn=self.fplus_values,
-            name="fooling-upper",
-        )
+        return EvalOracle(self.dim, self.fplus_values, "monotone", "fooling-upper")
 
     def fminus_oracle(self) -> EvalOracle:
-        return EvalOracle(
-            dim=self.dim,
-            fn=lambda a: float(self.fminus_values(a[None, :])[0]),
-            class_tag="monotone",
-            batch_fn=self.fminus_values,
-            name="fooling-lower",
-        )
+        return EvalOracle(self.dim, self.fminus_values, "monotone", "fooling-lower")
 
     def to_json_obj(self) -> dict:
         return {
@@ -234,25 +195,8 @@ class MonotoneFoolingPair:
         }
 
 
-def _gap_parts(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    dim: int,
-    stream: RandomStream | None,
-) -> tuple[float, bool, float | None]:
-    vol_lower = union_box_volume(lower, "lower", stream=stream)
-    vol_upper = union_box_volume(upper, "upper", stream=stream)
-    gap = (1.0 - vol_lower.volume) - vol_upper.volume
-    exact = vol_lower.exact and vol_upper.exact
-    se = None
-    if not exact:
-        parts = [v.std_error for v in (vol_lower, vol_upper) if v.std_error]
-        se = math.sqrt(sum(s * s for s in parts)) if parts else None
-    return gap, exact, se
-
-
 def build_fooling_pair(
-    points: Sequence[Point] | np.ndarray,
+    points: np.ndarray,
     dim: int,
     *,
     stream: RandomStream | None = None,
@@ -264,28 +208,26 @@ def build_fooling_pair(
     move.  Duplicated query points keep their multiplicity in n but cannot
     change the union volumes.
     """
-    arr = _as_points_array(points, dim)
+    arr = as_points(points, dim)
     labels = threshold_values(arr) if arr.shape[0] else np.zeros(0, dtype=int)
     lower = arr[labels == 0]
     upper = arr[labels == 1]
-    n = arr.shape[0]
-    gap, exact, se = _gap_parts(lower, upper, dim, stream)
-    guaranteed = max(0.0, 1.0 - n * 2.0 ** (-dim))
+    vol_lower = union_box_volume(lower, "lower", stream=stream)
+    vol_upper = union_box_volume(upper, "upper", stream=stream)
+    exact = vol_lower.exact and vol_upper.exact
+    se = None
+    if not exact:
+        parts = [v.std_error for v in (vol_lower, vol_upper) if v.std_error]
+        se = math.sqrt(sum(s * s for s in parts)) if parts else None
     return MonotoneFoolingPair(
         lower_corners=lower,
         upper_corners=upper,
         dim=dim,
-        exact_gap=gap,
-        guaranteed_gap=guaranteed,
+        exact_gap=(1.0 - vol_lower.volume) - vol_upper.volume,
+        guaranteed_gap=max(0.0, 1.0 - arr.shape[0] * 2.0 ** (-dim)),
         volumes_exact=exact,
         gap_std_error=se,
     )
-
-
-def exact_gap(pair: MonotoneFoolingPair, stream: RandomStream | None = None) -> float:
-    """Recompute the integral gap of a fooling pair from its corners."""
-    gap, _, _ = _gap_parts(pair.lower_corners, pair.upper_corners, pair.dim, stream)
-    return gap
 
 
 def error_lower_bound(n: int, dim: int) -> float:

@@ -12,12 +12,11 @@ an approximant can never beat the approximation error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, RandomStream, block_sizes
+from .core import DomainError, EvalOracle, RandomStream, uniform_blocks
 
 __all__ = [
     "BracketEstimate",
@@ -58,7 +57,7 @@ def _sampled_monotone_ok(oracle: EvalOracle, stream: RandomStream, pairs: int = 
     b = gen.random((pairs, oracle.dim))
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    return bool((oracle.evaluate_array(lo) <= oracle.evaluate_array(hi) + 1e-9).all())
+    return bool((oracle.evaluate(lo) <= oracle.evaluate(hi) + 1e-9).all())
 
 
 def staircase_monotone(
@@ -78,7 +77,7 @@ def staircase_monotone(
         raise DomainError("need at least one cell per axis")
     d = oracle.dim
     nodes = np.linspace(0.0, 1.0, m + 1)
-    values = oracle.evaluate_array(_full_grid(nodes, d)).reshape((m + 1,) * d)
+    values = oracle.evaluate(_full_grid(nodes, d)).reshape((m + 1,) * d)
     lower = float(values[(slice(0, m),) * d].mean())
     upper = float(values[(slice(1, m + 1),) * d].mean())
     monotone_ok = _sampled_monotone_ok(oracle, stream or RandomStream(0))
@@ -92,35 +91,17 @@ def staircase_monotone(
     )
 
 
-def monte_carlo(
-    oracle: EvalOracle,
-    n: int,
-    stream: RandomStream,
-    workers: int = 1,
-) -> tuple[float, float]:
+def monte_carlo(oracle: EvalOracle, n: int, stream: RandomStream) -> tuple[float, float]:
     """Uniform-sample mean with the constant-free n^(-1/2) error guarantee.
 
     Samples are drawn in fixed-order labeled blocks and block sums are
-    reduced in block order, so the estimate is bit-identical for any worker
-    count.
+    reduced in block order, so the estimate depends only on the seed and n.
     """
     if n < 1:
         raise DomainError("need at least one sample")
-    sizes = block_sizes(n, 8192)
-    mc_stream = stream.substream("mc")
-
-    def block_sum(i: int) -> float:
-        gen = mc_stream.substream("block", i).generator()
-        pts = gen.random((sizes[i], oracle.dim))
-        return float(oracle.evaluate_array(pts).sum())
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, range(len(sizes))))
-    else:
-        sums = [block_sum(i) for i in range(len(sizes))]
-    estimate = sum(sums) / n
-    return estimate, 1.0 / math.sqrt(n)
+    blocks = uniform_blocks(stream.substream("mc"), n, oracle.dim)
+    total = sum(float(oracle.evaluate(pts).sum()) for pts in blocks)
+    return total / n, 1.0 / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -157,7 +138,7 @@ def pc_approximate(oracle: EvalOracle, cells_per_axis: int) -> PiecewiseConstant
         raise DomainError("need at least one cell per axis")
     d = oracle.dim
     corners = np.arange(m) / m
-    values = oracle.evaluate_array(_full_grid(corners, d)).reshape((m,) * d)
+    values = oracle.evaluate(_full_grid(corners, d)).reshape((m,) * d)
     return PiecewiseConstantApprox(values=values, cells_per_axis=m, dim=d)
 
 

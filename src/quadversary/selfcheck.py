@@ -160,7 +160,7 @@ def check_reduction_inequality(seed: int):
         integral = quadrature.app_to_int(approx)
         xs = (np.arange(8000) + 0.5) / 8000
         l1 = float(np.abs(
-            oracle.evaluate_array(xs[:, None]) - approx.evaluate_array(xs[:, None])
+            oracle.evaluate(xs[:, None]) - approx.evaluate_array(xs[:, None])
         ).mean())
         truth = algorithms.true_integral(oracle_id, 1)
         ok = ok and abs(truth - integral) <= l1 + 1e-6
@@ -172,7 +172,7 @@ def check_adversary_gate(seed: int):
     alg = algorithms.make_algorithm("uniform-random", 8, 40, stream.substream("alg"))
     oracle = algorithms.make_oracle("threshold", 8)
     transcript, _ = run_algorithm(alg, oracle, 40)
-    pair = monotone.build_fooling_pair(transcript.points_array(), 8)
+    pair = monotone.build_fooling_pair(transcript.points, 8)
     certified = pair.exact_gap / 2.0
     theorem = monotone.error_lower_bound(pair.n, 8)
     return certified >= theorem - 1e-12, f"certificate {certified:.6f} >= theorem {theorem:.6f}"

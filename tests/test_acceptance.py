@@ -203,7 +203,7 @@ def test_criterion_11_reduction_inequality():
                 approx = quadrature.pc_approximate(oracle, m)
                 integral = quadrature.app_to_int(approx)
                 l1 = float(np.abs(
-                    oracle.evaluate_array(xs[:, None]) - approx.evaluate_array(xs[:, None])
+                    oracle.evaluate(xs[:, None]) - approx.evaluate_array(xs[:, None])
                 ).mean())
                 truth = algorithms.true_integral(oracle_id, 1)
                 assert abs(truth - integral) <= l1 + 1e-6

@@ -1,4 +1,6 @@
-from dataclasses import dataclass
+import itertools
+import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,29 +10,35 @@ from quadversary.core import (
     BudgetExceededError,
     DomainError,
     EvalOracle,
-    Point,
     RandomStream,
     Transcript,
+    as_points,
     initial_error,
     run_algorithm,
 )
 
 
 def test_point_validation():
-    p = Point((0.0, 1.0, 0.5))
-    assert p.dim == 3
+    assert as_points([[0.0, 1.0, 0.5]], 3).shape == (1, 3)
+    assert as_points([], 3).shape == (0, 3)
     with pytest.raises(DomainError):
-        Point((0.5, 1.2))
+        as_points([[0.5, 1.2]], 2)
     with pytest.raises(DomainError):
-        Point((-1e-9,))
+        as_points([[-1e-9]], 1)
     with pytest.raises(DomainError):
-        Point(())
+        as_points([[np.nan]], 1)
+    with pytest.raises(DomainError):
+        as_points([[0.5, 0.5]], 3)  # wrong dimension
+    with pytest.raises(DomainError):
+        as_points([0.5, 0.5], 2)  # a single point is a (1, d) array
 
 
 def test_oracle_rejects_out_of_range_values():
-    bad = EvalOracle(dim=1, fn=lambda x: 1.5)
+    bad = EvalOracle(dim=1, fn=lambda pts: np.full(pts.shape[0], 1.5))
     with pytest.raises(DomainError):
-        bad.evaluate(Point((0.5,)))
+        bad.evaluate(np.array([[0.5]]))
+    with pytest.raises(DomainError):  # the oracle validates its points too
+        algorithms.make_oracle("affine", 1).evaluate(np.array([[1.5]]))
 
 
 def test_zero_budget_constant_algorithm():
@@ -50,13 +58,13 @@ def test_boundary_query_returns_one():
         dim: int = 2
 
         def next_query(self, transcript):
-            return Point((0.5, 0.5)) if transcript.n == 0 else None
+            return np.array([0.5, 0.5]) if transcript.n == 0 else None
 
         def finalize(self, transcript):
-            return transcript.values()[0]
+            return transcript.values[0]
 
     transcript, output = run_algorithm(OneShot(), oracle, budget=1)
-    assert transcript.records[0][1] == 1.0
+    assert transcript.values[0] == 1.0
     assert output == 1.0
 
 
@@ -69,17 +77,17 @@ def test_adaptive_follow_up_query():
 
         def next_query(self, transcript):
             if transcript.n == 0:
-                return Point((0.3, 0.3))
-            if transcript.n == 1 and transcript.values()[0] == 0.0:
-                return Point((0.9, 0.9))
+                return np.array([0.3, 0.3])
+            if transcript.n == 1 and transcript.values[0] == 0.0:
+                return np.array([0.9, 0.9])
             return None
 
         def finalize(self, transcript):
-            return float(np.mean(transcript.values()))
+            return float(np.mean(transcript.values))
 
     transcript, _ = run_algorithm(Chaser(), oracle, budget=5)
     assert transcript.n == 2
-    assert transcript.values() == [0.0, 1.0]
+    assert transcript.values.tolist() == [0.0, 1.0]
 
 
 def test_budget_exceeded_is_an_error():
@@ -90,7 +98,7 @@ def test_budget_exceeded_is_an_error():
         dim: int = 2
 
         def next_query(self, transcript):
-            return Point((0.5, 0.5))
+            return np.array([0.5, 0.5])
 
         def finalize(self, transcript):
             return 0.0
@@ -113,12 +121,13 @@ def test_initial_error_is_half_for_both_classes():
 
 
 def test_transcript_json_round_trip():
-    t = Transcript()
-    t = t.with_record(Point((0.25, 0.75)), 1.0)
-    t = t.with_record(Point((0.1, 0.2)), 0.0)
+    t = Transcript(np.array([[0.25, 0.75], [0.1, 0.2]]), np.array([1.0, 0.0]))
     again = Transcript.from_json(t.to_json())
     assert again == t
     assert [r["value"] for r in t.to_json_obj()] == [1.0, 0.0]
+    assert Transcript.from_json("[]").n == 0
+    with pytest.raises(DomainError):
+        Transcript.from_json('[{"point": [1.5], "value": 0.0}]')
 
 
 def test_replay_same_seed_reproduces_transcript():
@@ -139,10 +148,10 @@ def test_fooling_principle_same_transcript_same_output():
     oracle = algorithms.make_oracle("threshold", 5)
     alg = algorithms.make_algorithm("uniform-random", 5, 15, RandomStream(7))
     transcript, output = run_algorithm(alg, oracle, budget=15)
-    pair = monotone.build_fooling_pair(transcript.points_array(), 5)
+    pair = monotone.build_fooling_pair(transcript.points, 5)
     for sibling in (pair.fplus_oracle(), pair.fminus_oracle()):
         t2, out2 = run_algorithm(alg, sibling, budget=15)
-        assert t2.points() == transcript.points()
+        assert np.array_equal(t2.points, transcript.points)
         assert out2 == output
 
 
@@ -160,20 +169,18 @@ def test_fooling_principle_holds_for_adaptive_queries():
             if transcript.n >= self.budget:
                 return None
             if transcript.n == 0:
-                return Point((0.6,) * self.dim)
-            prev_point, prev_value = transcript.records[-1]
-            arr = prev_point.as_array()
-            nxt = arr * 0.8 if prev_value == 1.0 else arr + (1.0 - arr) * 0.5
-            return Point.from_array(nxt)
+                return np.full(self.dim, 0.6)
+            prev = transcript.points[-1]
+            return prev * 0.8 if transcript.values[-1] == 1.0 else prev + (1.0 - prev) * 0.5
 
         def finalize(self, transcript):
-            return float(np.mean(transcript.values()))
+            return float(np.mean(transcript.values))
 
     alg = ValueChaser(dim=4, budget=12)
     oracle = algorithms.make_oracle("threshold", 4)
     transcript, output = run_algorithm(alg, oracle, budget=12)
-    assert len(set(transcript.values())) == 2  # both branches exercised
-    pair = monotone.build_fooling_pair(transcript.points_array(), 4)
+    assert len(set(transcript.values.tolist())) == 2  # both branches exercised
+    pair = monotone.build_fooling_pair(transcript.points, 4)
     for sibling in (pair.fplus_oracle(), pair.fminus_oracle()):
         t2, out2 = run_algorithm(alg, sibling, budget=12)
         assert t2 == transcript
@@ -202,4 +209,58 @@ def test_grid_and_vertex_scan_queries_are_deterministic():
     vert = algorithms.make_algorithm("vertex-scan", 2, 10, RandomStream(0))
     t3, _ = run_algorithm(vert, oracle, budget=10)
     assert t3.n == 4  # only 4 vertices exist at d=2
-    assert t3.points()[0] == Point((0.0, 0.0))
+    assert t3.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+
+
+def test_grid_scan_d5_queries_the_whole_5_lattice():
+    # 3125 = 5^5, so the smallest lattice holding the budget has 5 cells per axis
+    grid = algorithms.make_algorithm("grid-scan", 5, 3125, RandomStream(0))
+    transcript, _ = run_algorithm(grid, algorithms.make_oracle("affine", 5), budget=3125)
+    centers = (0.1, 0.3, 0.5, 0.7, 0.9)
+    assert transcript.points.tolist() == [list(p) for p in itertools.product(centers, repeat=5)]
+
+
+@dataclass
+class Hoarder:
+    """Keeps every transcript it is handed."""
+
+    dim: int
+    budget: int
+    seen: list = field(default_factory=list)
+
+    def next_query(self, transcript):
+        self.seen.append(transcript)
+        if transcript.n >= self.budget:
+            return None
+        return np.full(self.dim, (transcript.n % 7) / 7.0)
+
+    def finalize(self, transcript):
+        return 0.5
+
+
+def test_saved_transcripts_stay_valid_across_buffer_growth():
+    alg = Hoarder(dim=3, budget=300)  # several doublings of the record buffers
+    final, _ = run_algorithm(alg, algorithms.make_oracle("affine", 3), budget=300)
+    assert final.n == 300 and len(alg.seen) == 301
+    for k, saved in enumerate(alg.seen):
+        assert saved.n == k
+        assert np.array_equal(saved.points, final.points[:k])
+        assert np.array_equal(saved.values, final.values[:k])
+    for saved in (alg.seen[5], final):
+        with pytest.raises(ValueError):
+            saved.points[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            saved.values[0] = 0.0
+
+
+def test_huge_budget_allocates_nothing_of_budget_size():
+    tracemalloc.start()
+    try:
+        transcript, output = run_algorithm(
+            algorithms.ConstantHalf(dim=4), algorithms.make_oracle("affine", 4), budget=10**12
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transcript.n == 0 and output == 0.5
+    assert peak < 1_000_000

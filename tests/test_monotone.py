@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_union_volume
 from quadversary import monotone
-from quadversary.core import DomainError, Point, RandomStream
+from quadversary.core import DomainError, RandomStream
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -15,7 +15,7 @@ def test_threshold_step_values():
     for d in (1, 2, 5):
         assert monotone.threshold_value(np.full(d, 0.5)) == 1  # boundary maps to 1
     assert monotone.threshold_value(np.ones(3)) == 1
-    assert monotone.threshold_value(Point((0.2, 0.1))) == 0
+    assert monotone.threshold_value((0.2, 0.1)) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,7 +99,6 @@ def test_exact_gap_values():
     for d in (1, 4, 9):
         pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
         assert pair.exact_gap == 1.0 - 2.0 ** (-d)
-        assert monotone.exact_gap(pair) == pair.exact_gap
 
 
 def test_exact_gap_mixed_instance_against_grid_oracle():
@@ -198,7 +197,7 @@ def test_certificate_dominates_closed_form_for_every_algorithm():
         for budget in (0, 3, 10, 20):
             alg = algorithms.make_algorithm(algorithm_id, d, budget, RandomStream(55))
             transcript, _ = run_algorithm(alg, oracle, budget)
-            pair = monotone.build_fooling_pair(transcript.points_array(), d)
+            pair = monotone.build_fooling_pair(transcript.points, d)
             assert pair.volumes_exact
             certificate = pair.exact_gap / 2.0
             assert certificate >= monotone.error_lower_bound(pair.n, d) - 1e-12

@@ -15,13 +15,7 @@ def orthant_mixture_oracle(anchors: np.ndarray, weights: np.ndarray) -> EvalOrac
         inside = (pts[:, None, :] >= anchors[None, :, :]).all(axis=2)
         return np.clip(inside @ weights, 0.0, 1.0)
 
-    return EvalOracle(
-        dim=dim,
-        fn=lambda x: float(batch(x[None, :])[0]),
-        class_tag="monotone",
-        batch_fn=batch,
-        name="orthant-mixture",
-    )
+    return EvalOracle(dim=dim, fn=batch, class_tag="monotone", name="orthant-mixture")
 
 
 def orthant_mixture_integral(anchors: np.ndarray, weights: np.ndarray) -> float:
@@ -40,8 +34,7 @@ def test_staircase_ramp_two_cells():
 
 
 def test_staircase_constant_is_exact():
-    oracle = EvalOracle(dim=2, fn=lambda x: 0.7, class_tag="monotone",
-                        batch_fn=lambda pts: np.full(pts.shape[0], 0.7))
+    oracle = EvalOracle(dim=2, fn=lambda pts: np.full(pts.shape[0], 0.7), class_tag="monotone")
     bracket = quadrature.staircase_monotone(oracle, 3)
     assert bracket.lower_sum == bracket.upper_sum == 0.7
     assert bracket.certified_error == 0.0
@@ -55,8 +48,7 @@ def test_staircase_brackets_the_step_integrand():
 
 
 def test_staircase_flags_non_monotone_oracles():
-    oracle = EvalOracle(dim=1, fn=lambda x: float(1.0 - x[0]),
-                        batch_fn=lambda pts: 1.0 - pts[:, 0])
+    oracle = EvalOracle(dim=1, fn=lambda pts: 1.0 - pts[:, 0])
     bracket = quadrature.staircase_monotone(oracle, 4)
     assert not bracket.monotone_ok
 
@@ -82,8 +74,7 @@ def test_certified_error_never_exceeds_telescoping_cap():
 
 
 def test_monte_carlo_constant_is_exact():
-    oracle = EvalOracle(dim=3, fn=lambda x: 0.7,
-                        batch_fn=lambda pts: np.full(pts.shape[0], 0.7))
+    oracle = EvalOracle(dim=3, fn=lambda pts: np.full(pts.shape[0], 0.7))
     estimate, rmse = quadrature.monte_carlo(oracle, 500, RandomStream(32))
     assert estimate == pytest.approx(0.7, abs=1e-15)
     assert rmse == 1.0 / math.sqrt(500)
@@ -110,18 +101,9 @@ def test_monte_carlo_rmse_guarantee():
     assert math.sqrt(float(np.mean(squared))) <= 0.1
 
 
-def test_monte_carlo_worker_invariance():
-    oracle = algorithms.make_oracle("product", 4)
-    runs = [
-        quadrature.monte_carlo(oracle, 30_000, RandomStream(35), workers=w)[0]
-        for w in (1, 2, 5)
-    ]
-    assert runs[0] == runs[1] == runs[2]
-
-
 def test_pc_approximation_cases():
     exact = quadrature.pc_approximate(
-        EvalOracle(dim=1, fn=lambda x: 0.4, batch_fn=lambda pts: np.full(pts.shape[0], 0.4)),
+        EvalOracle(dim=1, fn=lambda pts: np.full(pts.shape[0], 0.4)),
         5,
     )
     assert np.all(exact.values == 0.4)
@@ -129,7 +111,7 @@ def test_pc_approximation_cases():
     step = quadrature.pc_approximate(algorithms.make_oracle("threshold", 1), 2)
     assert list(step.values) == [0.0, 1.0]
     xs = (np.arange(4000) + 0.5) / 4000
-    truth = algorithms.make_oracle("threshold", 1).evaluate_array(xs[:, None])
+    truth = algorithms.make_oracle("threshold", 1).evaluate(xs[:, None])
     l1 = float(np.abs(step.evaluate_array(xs[:, None]) - truth).mean())
     assert l1 == 0.0  # the two-cell step approximant reproduces the step a.e.
 
@@ -156,7 +138,7 @@ def test_reduction_inequality_on_builtin_oracles():
             approx = quadrature.pc_approximate(oracle, m)
             integral = quadrature.app_to_int(approx)
             l1 = float(np.abs(
-                oracle.evaluate_array(xs[:, None]) - approx.evaluate_array(xs[:, None])
+                oracle.evaluate(xs[:, None]) - approx.evaluate_array(xs[:, None])
             ).mean())
             truth = algorithms.true_integral(oracle_id, 1)
             assert abs(truth - integral) <= l1 + 1e-6
