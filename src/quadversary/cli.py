@@ -347,8 +347,8 @@ def cmd_quad(args) -> int:
     header = ["d", "method", "n", "estimate", "certified_error_or_rmse", "true_value_if_known"]
     _write_report(out, header, rows, args.format)
     _write_manifest(out, "quad", {
-        **asdict(config), "method": args.method, "oracle": args.oracle,
-        "m": args.m, "n": args.n,
+        "d": config.dim, "seed": config.seed, "method": args.method,
+        "oracle": args.oracle, "m": args.m, "n": args.n,
     })
     print(f"quad {args.method} oracle={args.oracle} d={config.dim} -> {out}")
     return 0

@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import lp
 from .core import DomainError, RandomStream, as_points, uniform_blocks
@@ -41,7 +40,6 @@ __all__ = [
     "cap_volume_mc",
     "caratheodory_cube_decomposition",
     "chernoff_factor",
-    "chernoff_factor_erf",
     "chernoff_factor_min",
     "complexity_lower_bound",
     "default_height_threshold",
@@ -112,17 +110,32 @@ class MaximalConvexEvaluator:
     evaluator caches optimal bases: a cached basis whose basic solution stays
     feasible for a new query certifies that query's optimum without another
     solve (reduced costs do not depend on the right-hand side).  Batches of
-    queries then mostly reduce to a few matrix products.
+    queries then mostly reduce to a few matrix products.  A query no cached
+    basis covers is solved warm from the cached basis whose duals y give the
+    smallest y.rhs(x), an upper bound on the optimum that is tight when that
+    basis is feasible, so the solve starts near the optimum.
     """
 
     def __init__(self, samples: SampleSet):
         self.samples = samples
         self._constraints, self._objective = _membership_program(samples)
-        self._bases: list[tuple[np.ndarray, np.ndarray]] = []
+        # Cached bases, their inverses, and their duals as the first rows of
+        # a buffer that doubles when full.
+        self._bases: list[tuple[int, ...]] = []
+        self._inverses: list[np.ndarray] = []
+        self._duals = np.empty((16, self._constraints.shape[0]))
 
     def _solve_one(self, rhs: np.ndarray) -> lp.LPSolution:
         program = lp.LinearProgram(self._objective, self._constraints, rhs)
-        return lp.solve(program)
+        k = len(self._bases)
+        start = self._bases[int(np.argmin(self._duals[:k] @ rhs))] if k else None
+        solution = lp.solve(program, start)
+        if k == self._duals.shape[0]:
+            self._duals = np.concatenate((self._duals, np.empty_like(self._duals)))
+        self._duals[k] = solution.duals
+        self._bases.append(solution.basis)
+        self._inverses.append(solution.basis_inverse)
+        return solution
 
     def value(self, x: np.ndarray | Sequence[float]) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
@@ -138,25 +151,23 @@ class MaximalConvexEvaluator:
         best = np.empty(n_q)
         unresolved = np.ones(n_q, dtype=bool)
 
-        def apply_basis(binv: np.ndarray, duals: np.ndarray) -> None:
+        def apply_basis(k: int) -> None:
             idx = np.flatnonzero(unresolved)
             if idx.size == 0:
                 return
             cols = rhs[:, idx]
-            feasible = (binv @ cols).min(axis=0) >= -lp.FEASIBILITY_TOL
+            feasible = (self._inverses[k] @ cols).min(axis=0) >= -lp.FEASIBILITY_TOL
             hit = idx[feasible]
             if hit.size:
-                best[hit] = duals @ rhs[:, hit]
+                best[hit] = self._duals[k] @ rhs[:, hit]
                 unresolved[hit] = False
 
-        for binv, duals in self._bases:
-            apply_basis(binv, duals)
+        for k in range(len(self._bases)):
+            apply_basis(k)
         while unresolved.any():
             first = int(np.flatnonzero(unresolved)[0])
             solution = self._solve_one(rhs[:, first])
-            entry = (solution.basis_inverse, solution.duals)
-            self._bases.append(entry)
-            apply_basis(*entry)
+            apply_basis(len(self._bases) - 1)
             if unresolved[first]:  # the solving basis always covers its own query
                 best[first] = solution.value
                 unresolved[first] = False
@@ -164,17 +175,11 @@ class MaximalConvexEvaluator:
 
 
 def maximal_convex_value(x: np.ndarray | Sequence[float], samples: SampleSet) -> float:
-    """Single-query LP evaluation (no basis cache); see the evaluator class."""
+    """Single-query evaluation by a fresh :class:`MaximalConvexEvaluator`."""
     arr = np.asarray(x, dtype=float)
     if arr.shape != (samples.dim,):
         raise DomainError(f"query has shape {arr.shape}, expected ({samples.dim},)")
-    as_points(arr[None, :], samples.dim)
-    if samples.n == 0:
-        return 1.0
-    constraints, objective = _membership_program(samples)
-    rhs = _query_rhs(arr[None, :])[:, 0]
-    solution = lp.solve(lp.LinearProgram(objective, constraints, rhs))
-    return float(np.clip(1.0 - solution.value, 0.0, 1.0))
+    return MaximalConvexEvaluator(samples).value(arr)
 
 
 @dataclass(frozen=True)
@@ -385,35 +390,9 @@ def cap_volume_mc(
 def chernoff_factor(s: float, alpha: float) -> float:
     """Exponential-moment integral of exp(alpha (2 s x - x^2)) over [0, 1].
 
-    Its d-th power bounds the cap volume at the matching height.  Computed by
-    adaptive quadrature to absolute tolerance 1e-10; a reported error above
-    that raises :class:`ConvergenceError`.
-    """
-    if alpha < 0.0:
-        raise DomainError("alpha must be nonnegative")
-    if alpha == 0.0:
-        return 1.0
-    value, abserr = quad(
-        lambda x: math.exp(alpha * (2.0 * s * x - x * x)),
-        0.0,
-        1.0,
-        epsabs=1e-10,
-        epsrel=1e-12,
-        limit=200,
-    )
-    if abserr > 1e-8:
-        raise ConvergenceError(
-            f"quadrature error {abserr:.2e} too large at s={s}, alpha={alpha}"
-        )
-    return float(value)
-
-
-def chernoff_factor_erf(s: float, alpha: float) -> float:
-    """Closed form of :func:`chernoff_factor` via the Gaussian error function.
-
-    Completing the square gives exp(alpha s^2) sqrt(pi/alpha) / 2 times
-    erf(sqrt(alpha) (1-s)) + erf(sqrt(alpha) s); used as an independent
-    cross-check of the quadrature route.
+    Its d-th power bounds the cap volume at the matching height.  Completing
+    the square gives the closed form exp(alpha s^2) sqrt(pi/alpha) / 2 times
+    erf(sqrt(alpha) (1-s)) + erf(sqrt(alpha) s).
     """
     if alpha < 0.0:
         raise DomainError("alpha must be nonnegative")

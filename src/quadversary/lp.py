@@ -1,8 +1,21 @@
-"""Dense-tableau primal simplex for the tiny LPs behind the convex adversary.
+"""Dense-tableau simplex for the tiny LPs behind the convex adversary.
 
 Problems have the form  max c.v  subject to  A v <= b, v >= 0  with b >= 0,
 so the all-slack basis is feasible from the start and no phase-1 is needed.
-Bland's rule keeps the pivot sequence finite (no cycling) and reproducible.
+A solve may instead start from the basis of an earlier solve with the same
+A and c.  That basis was optimal for some right-hand side, so its reduced
+costs stay nonnegative for every b: dual-simplex pivots restore primal
+feasibility, then the primal loop finishes.  The warm tableau is rebuilt
+from the original columns as inv(B) @ [A | I | b], never carried over from
+an earlier tableau, so rounding cannot build up along chains of warm starts.
+
+Both phases price by Dantzig's rule (most negative reduced cost, most
+infeasible row; ties to the lowest index).  The dual ratio test breaks ties
+by the largest pivot element, the primal one by the lowest basic index.
+Dantzig's rule can cycle on degenerate vertices, so after more than m
+consecutive pivots that leave the objective unchanged the solve switches to
+Bland's rule, which cannot cycle, until it ends.
+
 Instances here are a few dozen rows at most; a dense tableau is the simplest
 thing that is exactly reproducible and has no external dependencies.
 """
@@ -10,6 +23,7 @@ thing that is exactly reproducible and has no external dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,13 +89,20 @@ class LPSolution:
 
 def solve(
     program: LinearProgram,
+    start: Sequence[int] | None = None,
     tol: float = FEASIBILITY_TOL,
     max_iterations: int = 10_000,
 ) -> LPSolution:
-    """Run Bland-rule simplex from the slack basis.
+    """Run the simplex method from ``start`` or, by default, the slack basis.
+
+    ``start`` is the ``basis`` of an earlier solution of a program with the
+    same constraints and objective.  If its basis matrix is singular the
+    solve starts from the slack basis instead.  ``iterations`` counts the
+    pivots of both phases.
 
     Raises :class:`LPError` for negative right-hand sides (outside this
-    solver's scope), unbounded problems, or iteration blowup.
+    solver's scope), a ``start`` that does not fit the program, unbounded or
+    infeasible problems, or iteration blowup.
     """
     n = program.num_variables
     m = program.num_constraints
@@ -97,32 +118,63 @@ def solve(
     tableau[:m, -1] = b
     tableau[m, :n] = -program.objective
     basis = list(range(n, n + m))
+    if start is not None:
+        start = [int(j) for j in start]
+        if len(start) != m or not all(0 <= j < n + m for j in start):
+            raise LPError(f"start basis {start} does not fit {m} rows", program)
+        warm = _rebuild(tableau, start)
+        if warm is not None:
+            tableau, basis = warm, start
 
     iterations = 0
+    stalled = 0  # consecutive pivots that left the objective unchanged
+    bland = False
     while True:
         reduced = tableau[m, : n + m]
-        negative = np.flatnonzero(reduced < -tol)
-        if negative.size == 0:
-            break
-        entering = int(negative[0])  # Bland: lowest eligible index
-        column = tableau[:m, entering]
-        rows = np.flatnonzero(column > tol)
-        if rows.size == 0:
-            raise LPError("objective unbounded above", program)
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        leaving = int(min(ties, key=lambda r: basis[r]))  # Bland on ties
+        values = tableau[:m, -1]
+        infeasible = np.flatnonzero(values < -tol)
+        if infeasible.size:
+            # Dual simplex: the most infeasible row leaves, and the ratio
+            # test keeps every reduced cost nonnegative.
+            if bland:
+                leaving = int(min(infeasible, key=lambda r: basis[r]))
+            else:
+                leaving = int(np.argmin(values))
+            row = tableau[leaving, : n + m]
+            cols = np.flatnonzero(row < -tol)
+            if cols.size == 0:
+                raise LPError("constraints infeasible", program)
+            ratios = np.maximum(reduced[cols], 0.0) / -row[cols]
+            ties = cols[ratios <= ratios.min() + 1e-12]
+            # A basis that is dual degenerate ties many columns at ratio 0;
+            # taking the lowest index there wanders through dozens of bases,
+            # the largest pivot element rarely needs more than a few.
+            entering = int(ties[0] if bland else ties[np.argmin(row[ties])])
+            degenerate = reduced[entering] <= tol
+        else:
+            negative = np.flatnonzero(reduced < -tol)
+            if negative.size == 0:
+                break
+            entering = int(negative[0]) if bland else int(np.argmin(reduced))
+            column = tableau[:m, entering]
+            rows = np.flatnonzero(column > tol)
+            if rows.size == 0:
+                raise LPError("objective unbounded above", program)
+            ratios = values[rows] / column[rows]
+            ties = rows[ratios <= ratios.min() + 1e-12]
+            leaving = int(min(ties, key=lambda r: basis[r]))
+            degenerate = values[leaving] <= tol
 
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        others = np.arange(m + 1) != leaving
-        tableau[others, :] -= np.outer(tableau[others, entering], tableau[leaving, :])
+        pivot_row = tableau[leaving] / tableau[leaving, entering]
+        tableau -= np.outer(tableau[:, entering], pivot_row)
+        tableau[leaving] = pivot_row
         basis[leaving] = entering
 
         iterations += 1
         if iterations > max_iterations:
             raise LPError(f"no optimum after {max_iterations} pivots", program)
+        stalled = stalled + 1 if degenerate else 0
+        bland = bland or stalled > m
 
     solution = np.zeros(n)
     for row, col in enumerate(basis):
@@ -136,3 +188,23 @@ def solve(
         basis_inverse=tableau[:m, n : n + m].copy(),
         iterations=iterations,
     )
+
+
+def _rebuild(tableau: np.ndarray, basis: list[int]) -> np.ndarray | None:
+    """The tableau of ``basis``, built from the slack-basis ``tableau``.
+
+    Constraint rows become inv(B) @ [A | I | b] and the reduced-cost row is
+    priced out against them.  Returns None when B is singular.
+    """
+    m = tableau.shape[0] - 1
+    try:
+        inverse = np.linalg.inv(tableau[:m, basis])
+    except np.linalg.LinAlgError:
+        return None
+    rows = inverse @ tableau[:m]
+    warm = np.empty_like(tableau)
+    warm[:m] = rows
+    warm[m] = tableau[m] - tableau[m, basis] @ rows
+    warm[:m, basis] = np.eye(m)
+    warm[m, basis] = 0.0
+    return warm

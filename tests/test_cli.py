@@ -138,6 +138,10 @@ def test_quad_staircase_row(tmp_path):
     assert float(row["estimate"]) == 0.5
     assert float(row["certified_error_or_rmse"]) == 0.25
     assert float(row["true_value_if_known"]) == 0.5
+    manifest = json.loads((tmp_path / "quad.manifest.json").read_text())
+    assert manifest["config"] == {
+        "d": 1, "seed": 0, "method": "staircase", "oracle": "affine", "m": 2, "n": 0,
+    }
 
 
 def test_quad_mc_reruns_bit_identical(tmp_path):

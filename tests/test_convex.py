@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import linprog
 
 from conftest import maximal_convex_1d
-from quadversary import convex
-from quadversary.core import DomainError, RandomStream
+from quadversary import algorithms, convex, lp
+from quadversary.core import DomainError, RandomStream, run_algorithm
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -52,6 +54,55 @@ def test_batch_evaluator_equals_single_solves():
     batch = evaluator.values(xs)
     singles = np.array([convex.maximal_convex_value(x, samples) for x in xs])
     assert np.abs(batch - singles).max() <= 1e-9
+
+
+def _scan_samples(algorithm_id: str, dim: int, budget: int) -> convex.SampleSet:
+    alg = algorithms.make_algorithm(algorithm_id, dim, budget, RandomStream(0))
+    transcript, _ = run_algorithm(alg, algorithms.zero_oracle(dim), budget)
+    return convex.SampleSet(transcript.points, dim)
+
+
+def _highs_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
+    """The maximal vanishing convex function by HiGHS, one LP per query."""
+    a = np.vstack([np.ones(samples.n), samples.points.T, 1.0 - samples.points.T])
+    out = []
+    for x in xs:
+        rhs = np.concatenate(([1.0], x, 1.0 - x))
+        ref = linprog(-np.ones(samples.n), A_ub=a, b_ub=rhs, method="highs")
+        assert ref.status == 0
+        out.append(min(1.0, max(0.0, 1.0 + ref.fun)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "algorithm_id,dim,budget", [("grid-scan", 2, 1000), ("vertex-scan", 8, 8)]
+)
+def test_evaluator_matches_highs_on_degenerate_sample_sets(algorithm_id, dim, budget):
+    # Collinear grid points and the vertices of a cube face make many
+    # optimal bases degenerate, which is where warm starts can go wrong.
+    samples = _scan_samples(algorithm_id, dim, budget)
+    xs = RandomStream(31).substream(algorithm_id).generator().random((150, dim))
+    got = convex.MaximalConvexEvaluator(samples).values(xs)
+    assert np.abs(got - _highs_values(samples, xs)).max() <= 1e-9
+
+
+def test_warm_started_solves_stay_few_pivots(monkeypatch):
+    # These 100 queries on the 1000-point d=2 grid take 20 pivots.  They took
+    # 28,811 when every solve started cold from the slack basis by Bland's
+    # rule, and 613 when the dual ratio test broke ties by lowest index.
+    samples = _scan_samples("grid-scan", 2, 1000)
+    pivots = []
+    solve = lp.solve
+
+    def counting_solve(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        pivots.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    xs = RandomStream(32).substream("pivot-guard").generator().random((100, 2))
+    convex.MaximalConvexEvaluator(samples).values(xs)
+    assert 0 < sum(pivots) <= 200
 
 
 def test_midpoint_convexity_and_range():
@@ -207,10 +258,16 @@ def test_chernoff_factor_basics():
 
 
 def test_chernoff_factor_matches_closed_form():
-    for alpha in np.linspace(0.0, 30.0, 31):
-        quad_route = convex.chernoff_factor(0.25, float(alpha))
-        erf_route = convex.chernoff_factor_erf(0.25, float(alpha))
-        assert quad_route == pytest.approx(erf_route, abs=1e-8)
+    # the erf closed form against adaptive quadrature of the defining integral
+    for s in (0.25, 0.3, 0.45):
+        for alpha in np.linspace(0.0, 30.0, 31):
+            a = float(alpha)
+            quad_route, abserr = quad(
+                lambda x: math.exp(a * (2.0 * s * x - x * x)),
+                0.0, 1.0, epsabs=1e-10, epsrel=1e-12, limit=200,
+            )
+            assert abserr <= 1e-8
+            assert convex.chernoff_factor(s, a) == pytest.approx(quad_route, abs=1e-8)
 
 
 def test_chernoff_factor_min_certification():

@@ -78,3 +78,55 @@ def test_matches_reference_solver_on_random_instances():
         ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         assert sol.value == pytest.approx(-ref.fun, abs=1e-8)
+
+
+def test_beale_cycling_example_ends_at_optimum():
+    # Beale's LP, on which Dantzig's rule alone cycles; the switch to
+    # Bland's rule after a run of degenerate pivots must end the solve.
+    program = lp.LinearProgram(
+        [0.75, -150.0, 0.02, -6.0],
+        [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0],
+    )
+    sol = lp.solve(program)
+    assert sol.value == pytest.approx(0.05, abs=1e-12)
+    assert sol.solution == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_warm_start_from_another_rhs_matches_cold_solve_and_highs():
+    rng = np.random.default_rng(17)
+    warm_pivots = cold_pivots = 0
+    for _ in range(40):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        a = np.vstack([rng.random((m, n)) * 2.0 - 0.5, np.ones(n)])
+        c = rng.random(n) * 2.0 - 0.5
+        first = lp.solve(lp.LinearProgram(c, a, np.append(rng.random(m), 1.0)))
+        b = np.append(rng.random(m), 1.0)
+        program = lp.LinearProgram(c, a, b)
+        warm = lp.solve(program, first.basis)
+        cold = lp.solve(program)
+        ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
+        assert ref.status == 0
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert warm.value == pytest.approx(-ref.fun, abs=1e-9)
+        assert warm.value == pytest.approx(float(warm.duals @ b), abs=1e-9)
+        columns = np.hstack([a, np.eye(m + 1)])[:, list(warm.basis)]
+        assert np.allclose(warm.basis_inverse @ columns, np.eye(m + 1), atol=1e-9)
+        assert (a @ warm.solution <= b + 1e-9).all()
+        assert warm.solution.min() >= -1e-12
+        warm_pivots += warm.iterations
+        cold_pivots += cold.iterations
+    assert warm_pivots < cold_pivots
+
+
+def test_singular_start_falls_back_to_slack_start():
+    program = lp.LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], [1.0, 2.0])
+    cold = lp.solve(program)
+    for start in ((0, 0), (2, 2)):  # repeated columns: B is singular
+        sol = lp.solve(program, start)
+        assert sol.value == cold.value
+        assert sol.basis == cold.basis
+        assert sol.iterations == cold.iterations
+    for start in ((0,), (0, 4), (-1, 2)):
+        with pytest.raises(lp.LPError):
+            lp.solve(program, start)
