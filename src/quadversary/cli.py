@@ -172,12 +172,10 @@ def cmd_adversary(args) -> int:
     if config.problem_class == "monotone":
         oracle = algorithms.make_oracle("threshold", config.dim)
         transcript, _ = run_algorithm(alg, oracle, config.budget)
-        pair = monotone.build_fooling_pair(
-            transcript.points, config.dim, stream=stream.substream("gap-volume")
-        )
-        certified = pair.exact_gap / 2.0
+        pair = monotone.build_fooling_pair(transcript.points, config.dim)
+        certified = pair.gap_low / 2.0
         theorem = monotone.error_lower_bound(pair.n, config.dim)
-        if pair.volumes_exact and certified < theorem - 1e-12:
+        if certified < theorem - 1e-12:
             raise ConsistencyError(
                 f"certified bound {certified} fell below the closed form {theorem}"
             )
@@ -188,8 +186,10 @@ def cmd_adversary(args) -> int:
             obj["theorem_lower_bound"] = theorem
             _write_json(out, obj)
         else:
-            header = ["d", "n", "ell", "exact_gap", "guaranteed_gap", "error_lower_bound"]
-            rows = [[config.dim, pair.n, pair.ell, pair.exact_gap, pair.guaranteed_gap, certified]]
+            header = ["d", "n", "ell", "gap_low", "gap_high", "guaranteed_gap", "provenance",
+                      "error_lower_bound"]
+            rows = [[config.dim, pair.n, pair.ell, pair.gap_low, pair.gap_high,
+                     pair.guaranteed_gap, pair.provenance, certified]]
             _write_report(out, header, rows, "csv")
         _write_manifest(out, "adversary", asdict(config))
         print(f"adversary monotone d={config.dim} n={pair.n} certified>={certified!r} -> {out}")
@@ -384,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="problem_class", choices=("monotone", "convex"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--mc-samples", type=int, default=10_000)
+    p.add_argument("--mc-samples", type=int, default=10_000,
+                   help="Monte Carlo samples of the hull volume (--class convex only)")
     p.add_argument("--algorithm", type=str, default="constant-half",
                    help=f"one of {', '.join(algorithms.ALGORITHM_IDS)}")
     add_common(p)

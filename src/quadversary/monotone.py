@@ -4,13 +4,14 @@ The probe integrand is the 0/1 step at half the coordinate sum.  After an
 algorithm has spent its budget on that probe, the transcript points split
 into those that returned 0 and those that returned 1, and two extremal
 monotone functions agree with the probe on every queried point while their
-integrals differ by an exactly computable gap.  Half that gap is a certified
-worst-case error lower bound for the algorithm, and minimizing over point
-placements yields the closed-form bounds exposed here as well.
+integrals differ by a gap that is exact or rigorously bracketed.  Half its
+lower end is a certified worst-case error lower bound for the algorithm, and
+minimizing over point placements yields the closed-form bounds exposed here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import DomainError, EvalOracle, RandomStream, as_points
+from .core import DomainError, EvalOracle, as_points
 
 __all__ = [
     "ConvergenceError",
@@ -34,10 +35,8 @@ __all__ = [
     "union_box_volume",
 ]
 
-# Inclusion-exclusion enumerates 2^k subsets; beyond this corner count the
-# volume falls back to a flagged Monte Carlo estimate.
-EXACT_CORNER_CAP = 20
-_EXACT_WORK_CAP = 50_000_000  # subset-table floats; guards memory at high d
+EXACT_CORNER_CAP = 20  # inclusion-exclusion (2^k subsets) up to this many boxes
+_BLOCK_ELEMENTS = 1 << 21  # largest temporary array of one block
 
 
 class ConvergenceError(RuntimeError):
@@ -57,80 +56,113 @@ def threshold_values(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnionVolume:
-    """Volume of a union of anchored boxes, exact or flagged as estimated."""
+    """Bracket ``[low, high]`` on the volume of a union of boxes; one value if exact."""
 
-    volume: float
-    exact: bool
-    std_error: float | None = None
+    low: float
+    high: float
+
+    @property
+    def exact(self) -> bool:
+        return self.low == self.high
 
 
-def _inclusion_exclusion(corners: np.ndarray) -> float:
-    """Exact volume of union of [0, t_j] boxes via signed subset products.
+def _maximal_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Distinct boxes [0, b] that lie in no other box, in lexicographic order."""
+    boxes = np.unique(boxes, axis=0)
+    k, d = boxes.shape
+    step = max(1, _BLOCK_ELEMENTS // (k * d))
+    # Rows are distinct, so a box that only its own row contains is maximal.
+    holders = [(boxes[i : i + step, None] <= boxes).all(2).sum(1) for i in range(0, k, step)]
+    return boxes[np.concatenate(holders) == 1]
 
-    Subset minima are built bottom-up over bitmasks (each mask extends the
-    mask without its lowest set bit), so every subset costs O(d).
+
+def _inclusion_exclusion(boxes: np.ndarray) -> UnionVolume:
+    """Union volume of boxes [0, b_j] as the signed sum over subset minima.
+
+    The minima of all subsets of the first ``h`` boxes form a table built by
+    doubling: the subsets holding box j are the earlier rows cut by b_j.  Each
+    subset of the other boxes cuts it into one block of at most
+    ``_BLOCK_ELEMENTS``, and ``math.fsum`` rounds the sum of all blocks once.
     """
-    k, d = corners.shape
-    mins = np.empty((1 << k, d))
-    total = 0.0
-    # Fixed ascending-mask order keeps float summation reproducible.
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        prev = mask ^ low
-        mins[mask] = corners[j] if prev == 0 else np.minimum(mins[prev], corners[j])
-        term = mins[mask].prod()
-        total += term if (mask.bit_count() & 1) else -term
-    return float(total)
+    k, d = boxes.shape
+    h = min(k, 16, max(0, (_BLOCK_ELEMENTS // d).bit_length() - 1))
+    mins = np.ones((1 << h, d))
+    sign = np.full(1 << h, -1.0)  # (-1)^(|S| + 1), also -1 for the empty subset
+    for j in range(h):
+        np.minimum(mins[: 1 << j], boxes[j], out=mins[1 << j : 2 << j])
+        sign[1 << j : 2 << j] = -sign[: 1 << j]
+    tail = boxes[h:]
+
+    def blocks():
+        for mask in range(1 << len(tail)):
+            chosen = [j for j in range(len(tail)) if mask >> j & 1]
+            cut = tail[chosen].min(axis=0, initial=1.0)
+            terms = np.minimum(mins, cut).prod(axis=1) * (sign * (-1) ** len(chosen))
+            yield terms[1:] if mask == 0 else terms  # skip the empty subset
+
+    volume = math.fsum(itertools.chain.from_iterable(blocks()))
+    return UnionVolume(volume, volume)
+
+
+def _bracket(boxes: np.ndarray) -> UnionVolume:
+    """De Caen's lower and Hunter's upper bound on the union of boxes [0, b_j].
+
+    With volumes v_i and intersections W_ij = prod(min(b_i, b_j)), W_ii = v_i,
+    the union lies between sum_i v_i^2 / sum_j W_ij (de Caen, Discrete Math.
+    169, 1997) and S - T, with S = sum_i v_i and T the weight of a maximum
+    spanning tree of W (Hunter, J. Appl. Prob. 13, 1976).  Prim's algorithm
+    builds row u of W when node u joins the tree; W is never stored.
+
+    Float error, u = 2^-53: v_i and W_ij (with 1 - t rounded in upper mode)
+    err by under 2du relatively, S and T by (2d + k)u, the de Caen sum by
+    (6d + 2k)u, and each product by d 2^-1075 from underflow.  As T <= S,
+    widening by 8(d + k)u relatively and k d 2^-1074 absolutely covers these.
+    """
+    k, d = boxes.shape
+    vols = boxes.prod(axis=1)
+    row_sums = np.empty(k)
+    best = np.full(k, -np.inf)  # heaviest edge from each node into the tree
+    best[0] = 0.0
+    joined = np.zeros(k, dtype=bool)
+    tree = 0.0
+    for _ in range(k):
+        node = int(np.argmax(best))
+        tree += float(best[node])
+        joined[node] = True
+        row = np.minimum(boxes[node], boxes).prod(axis=1)
+        row_sums[node] = row.sum()
+        np.maximum(best, row, out=best, where=~joined)
+        best[node] = -np.inf
+    de_caen = float(np.divide(vols**2, row_sums, out=np.zeros(k), where=row_sums > 0).sum())
+    total = float(vols.sum())
+    tol, tiny = 8 * (d + k) * 2.0**-53, k * d * 2.0**-1074
+    low = max(0.0, de_caen * (1.0 - tol) - tiny)
+    return UnionVolume(low, min(1.0, total - tree + tol * total + tiny))
 
 
 def _union_membership(points: np.ndarray, corners: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "lower":
-        inside = points[:, None, :] <= corners[None, :, :]
-    else:
-        inside = points[:, None, :] >= corners[None, :, :]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+    inside = pts <= corners[None, :, :] if mode == "lower" else pts >= corners[None, :, :]
     return inside.all(axis=2).any(axis=1)
 
 
 def union_box_volume(
-    corners: np.ndarray,
-    mode: str,
-    *,
-    exact_cap: int = EXACT_CORNER_CAP,
-    mc_samples: int = 200_000,
-    stream: RandomStream | None = None,
+    corners: np.ndarray, mode: str, *, exact_cap: int = EXACT_CORNER_CAP
 ) -> UnionVolume:
-    """Volume of the union of boxes [0, t_j] (lower) or [t_j, 1] (upper).
+    """Bracket the volume of the union of boxes [0, t_j] (lower) or [t_j, 1] (upper).
 
-    Up to ``exact_cap`` distinct corners the result is exact by
-    inclusion-exclusion; beyond that a Monte Carlo estimate is returned with
-    ``exact=False`` and its standard error.
+    Duplicate boxes and boxes inside another box add nothing and are dropped.
+    If at most ``exact_cap`` remain, inclusion-exclusion gives the volume
+    (``low == high``); otherwise :func:`_bracket` bounds it.
     """
     if mode not in ("lower", "upper"):
         raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
     arr = np.asarray(corners, dtype=float)
     if arr.size == 0:
-        return UnionVolume(0.0, exact=True)
+        return UnionVolume(0.0, 0.0)
     arr = as_points(arr, arr.shape[-1])
-    arr = np.unique(arr, axis=0)  # duplicates cannot change the union
-    k, d = arr.shape
-
-    if k <= exact_cap and (1 << k) * d <= _EXACT_WORK_CAP:
-        boxes = arr if mode == "lower" else 1.0 - arr
-        return UnionVolume(_inclusion_exclusion(boxes), exact=True)
-
-    stream = stream or RandomStream(0).substream("union-volume")
-    gen = stream.generator()
-    hits = 0
-    done = 0
-    while done < mc_samples:
-        size = min(65536, mc_samples - done)
-        pts = gen.random((size, d))
-        hits += int(_union_membership(pts, arr, mode).sum())
-        done += size
-    p = hits / mc_samples
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / mc_samples)
-    return UnionVolume(p, exact=False, std_error=se)
+    boxes = _maximal_boxes(arr if mode == "lower" else 1.0 - arr)
+    return _bracket(boxes) if boxes.shape[0] > exact_cap else _inclusion_exclusion(boxes)
 
 
 @dataclass(frozen=True)
@@ -138,18 +170,18 @@ class MonotoneFoolingPair:
     """Two monotone functions that agree with the probe on a transcript.
 
     The upper function is 1 except below some 0-classified point; the lower
-    function is 0 except above some 1-classified point.  ``exact_gap`` is the
-    difference of their integrals, ``guaranteed_gap`` the closed-form floor
-    max(0, 1 - n 2^-d) it can never undercut (for exactly computed volumes).
+    function is 0 except above some 1-classified point.  Their integrals differ
+    by a gap in ``[gap_low, gap_high]``, one value if ``provenance`` is
+    ``"exact"``; ``guaranteed_gap`` is the closed-form floor max(0, 1 - n 2^-d).
     """
 
     lower_corners: np.ndarray  # points the probe mapped to 0
     upper_corners: np.ndarray  # points the probe mapped to 1
     dim: int
-    exact_gap: float
+    gap_low: float
+    gap_high: float
     guaranteed_gap: float
-    volumes_exact: bool
-    gap_std_error: float | None = None
+    provenance: str
 
     @property
     def ell(self) -> int:
@@ -160,24 +192,16 @@ class MonotoneFoolingPair:
         return self.lower_corners.shape[0] + self.upper_corners.shape[0]
 
     def fplus_values(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.lower_corners.shape[0] == 0:
-            return np.ones(pts.shape[0])
-        below = _union_membership(pts, self.lower_corners, "lower")
-        return np.where(below, 0.0, 1.0)
+        return np.where(_union_membership(points, self.lower_corners, "lower"), 0.0, 1.0)
 
     def fminus_values(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.upper_corners.shape[0] == 0:
-            return np.zeros(pts.shape[0])
-        above = _union_membership(pts, self.upper_corners, "upper")
-        return np.where(above, 1.0, 0.0)
+        return np.where(_union_membership(points, self.upper_corners, "upper"), 1.0, 0.0)
 
     def fplus(self, x: np.ndarray) -> float:
-        return float(self.fplus_values(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.fplus_values(x)[0])
 
     def fminus(self, x: np.ndarray) -> float:
-        return float(self.fminus_values(np.asarray(x, dtype=float)[None, :])[0])
+        return float(self.fminus_values(x)[0])
 
     def fplus_oracle(self) -> EvalOracle:
         return EvalOracle(self.dim, self.fplus_values, "monotone", "fooling-upper")
@@ -187,46 +211,32 @@ class MonotoneFoolingPair:
 
     def to_json_obj(self) -> dict:
         return {
-            "d": self.dim,
-            "L": [list(row) for row in self.lower_corners],
-            "U": [list(row) for row in self.upper_corners],
-            "exact_gap": self.exact_gap,
-            "guaranteed_gap": self.guaranteed_gap,
+            "d": self.dim, "L": self.lower_corners.tolist(), "U": self.upper_corners.tolist(),
+            "gap_low": self.gap_low, "gap_high": self.gap_high,
+            "guaranteed_gap": self.guaranteed_gap, "provenance": self.provenance,
         }
 
 
-def build_fooling_pair(
-    points: np.ndarray,
-    dim: int,
-    *,
-    stream: RandomStream | None = None,
-) -> MonotoneFoolingPair:
-    """Split transcript points by the probe's value and compute the gap.
+def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
+    """Split transcript points by the probe's value and bracket the gap.
 
     Classification always uses the probe step function, regardless of what
     oracle the algorithm was actually run on; that is exactly the adversary's
-    move.  Duplicated query points keep their multiplicity in n but cannot
-    change the union volumes.
+    move.  Repeated query points count in n but cannot change the volumes,
+    and no lower box meets an upper one, so the gap is at least 0.
     """
     arr = as_points(points, dim)
     labels = threshold_values(arr) if arr.shape[0] else np.zeros(0, dtype=int)
-    lower = arr[labels == 0]
-    upper = arr[labels == 1]
-    vol_lower = union_box_volume(lower, "lower", stream=stream)
-    vol_upper = union_box_volume(upper, "upper", stream=stream)
-    exact = vol_lower.exact and vol_upper.exact
-    se = None
-    if not exact:
-        parts = [v.std_error for v in (vol_lower, vol_upper) if v.std_error]
-        se = math.sqrt(sum(s * s for s in parts)) if parts else None
+    vol_lower = union_box_volume(arr[labels == 0], "lower")
+    vol_upper = union_box_volume(arr[labels == 1], "upper")
     return MonotoneFoolingPair(
-        lower_corners=lower,
-        upper_corners=upper,
+        lower_corners=arr[labels == 0],
+        upper_corners=arr[labels == 1],
         dim=dim,
-        exact_gap=(1.0 - vol_lower.volume) - vol_upper.volume,
+        gap_low=max(0.0, (1.0 - vol_lower.high) - vol_upper.high),
+        gap_high=(1.0 - vol_lower.low) - vol_upper.low,
         guaranteed_gap=max(0.0, 1.0 - arr.shape[0] * 2.0 ** (-dim)),
-        volumes_exact=exact,
-        gap_std_error=se,
+        provenance="exact" if vol_lower.exact and vol_upper.exact else "bracket",
     )
 
 
@@ -266,19 +276,9 @@ def simplex_product_max(dim: int) -> float:
     if dim < 1:
         raise DomainError("dimension must be positive")
     half_sum = dim / 2.0
-
-    def neg_log_product(y: np.ndarray) -> float:
-        return -float(np.log(y).sum())
-
-    def neg_log_product_grad(y: np.ndarray) -> np.ndarray:
-        return -1.0 / y
-
     result = minimize(
-        neg_log_product,
-        x0=np.full(dim, 0.25),
-        jac=neg_log_product_grad,
-        method="SLSQP",
-        bounds=[(1e-12, 1.0)] * dim,
+        lambda y: -float(np.log(y).sum()), x0=np.full(dim, 0.25), jac=lambda y: -1.0 / y,
+        method="SLSQP", bounds=[(1e-12, 1.0)] * dim,
         constraints=[{"type": "ineq", "fun": lambda y: half_sum - y.sum()}],
         options={"ftol": 1e-14, "maxiter": 500},
     )

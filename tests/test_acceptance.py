@@ -46,7 +46,7 @@ def test_criterion_02_adversary_sharpness_at_center():
     with Timer(1.0) as timer:
         for d in range(1, 21):
             pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
-            assert pair.exact_gap == 1.0 - 2.0 ** (-d)
+            assert pair.gap_low == 1.0 - 2.0 ** (-d)
     _report(2, timer, "single centered query yields gap exactly 1 - 2^-d for d=1..20")
 
 
@@ -63,7 +63,7 @@ def test_criterion_03_union_volume_grid_equivalence():
             exact = monotone.union_box_volume(corners, mode)
             assert exact.exact
             counted = grid_union_volume(corners, mode, cells)
-            worst = max(worst, abs(exact.volume - counted))
+            worst = max(worst, abs(exact.low - counted))
         assert worst <= 2e-3
     _report(3, timer, f"50 instances vs 1e6-cell grid count, worst deviation {worst:.2e}")
 

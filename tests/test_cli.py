@@ -33,7 +33,7 @@ def test_adversary_monotone_certificate_dominates_closed_form(tmp_path):
     row = read_csv(out)[0]
     assert int(row["n"]) == 100
     assert float(row["error_lower_bound"]) >= 0.451171875
-    assert float(row["exact_gap"]) >= float(row["guaranteed_gap"]) - 1e-9
+    assert float(row["gap_low"]) >= float(row["guaranteed_gap"]) - 1e-9
 
 
 def test_adversary_monotone_json_export(tmp_path):
@@ -44,9 +44,23 @@ def test_adversary_monotone_json_export(tmp_path):
     ])
     assert code == 0
     obj = json.loads(out.read_text())
-    assert set(obj) >= {"d", "L", "U", "exact_gap", "guaranteed_gap"}
+    assert set(obj) >= {"d", "L", "U", "gap_low", "gap_high", "guaranteed_gap", "provenance"}
     assert obj["d"] == 3
     assert len(obj["L"]) + len(obj["U"]) == 4
+
+
+def test_adversary_monotone_bracket_at_high_dimension(tmp_path):
+    out = tmp_path / "adv.csv"
+    code = cli.main([
+        "adversary", "--class", "monotone", "--d", "20", "--budget", "1000",
+        "--algorithm", "uniform-random", "--seed", "3", "--out", str(out),
+    ])
+    assert code == 0
+    row = read_csv(out)[0]
+    certificate = float(row["error_lower_bound"])
+    assert row["provenance"] == "bracket"
+    assert 0.5 * (1.0 - 1000 * 2.0**-20) <= certificate < 0.5
+    assert float(row["gap_low"]) <= float(row["gap_high"])
 
 
 def test_adversary_convex_origin_sampler(tmp_path):

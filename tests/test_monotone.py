@@ -43,9 +43,9 @@ def test_pair_membership_rules():
 def test_union_volume_single_boxes():
     for d in range(1, 11):
         v = monotone.union_box_volume(np.full((1, d), 0.5), "lower")
-        assert v.exact and v.volume == 2.0 ** (-d)
+        assert v.exact and v.low == 2.0 ** (-d)
     v = monotone.union_box_volume(np.array([[0.9, 0.9]]), "upper")
-    assert v.volume == pytest.approx(0.01, abs=1e-15)
+    assert v.low == pytest.approx(0.01, abs=1e-15)
 
 
 def test_union_volume_two_boxes_against_grid_oracle():
@@ -53,7 +53,7 @@ def test_union_volume_two_boxes_against_grid_oracle():
     oracle = grid_union_volume(corners, "lower", 1000)
     assert oracle == pytest.approx(0.375, abs=1e-12)  # lattice corners: count is exact
     v = monotone.union_box_volume(corners, "lower")
-    assert v.exact and v.volume == pytest.approx(0.375, abs=1e-12)
+    assert v.exact and v.low == pytest.approx(0.375, abs=1e-12)
 
 
 def test_union_volume_random_lattice_instances_match_grid():
@@ -63,9 +63,10 @@ def test_union_volume_random_lattice_instances_match_grid():
             k = int(gen.integers(1, 5))
             corners = gen.integers(0, cells + 1, size=(k, d)) / cells
             for mode in ("lower", "upper"):
-                exact = monotone.union_box_volume(corners, mode).volume
+                volume = monotone.union_box_volume(corners, mode)
                 counted = grid_union_volume(corners, mode, cells)
-                assert exact == pytest.approx(counted, abs=1e-12)
+                assert volume.low == pytest.approx(counted, abs=1e-12)
+                assert volume.high == pytest.approx(counted, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,29 +77,90 @@ def test_union_volume_between_max_and_sum(d, k, data):
         for i in range(k)
     ]
     corners = np.array(rows)
-    vol = monotone.union_box_volume(corners, "lower").volume
+    vol = monotone.union_box_volume(corners, "lower")
     singles = [float(np.prod(row)) for row in rows]
-    assert vol >= max(singles) - 1e-12
-    assert vol <= min(1.0, sum(singles)) + 1e-12
+    assert vol.low >= max(singles) - 1e-12
+    assert vol.high <= min(1.0, sum(singles)) + 1e-12
 
 
-def test_union_volume_mc_fallback_agrees_with_exact():
+def test_union_volume_bracket_contains_exact():
     gen = RandomStream(3).substream("fallback").generator()
     corners = gen.random((6, 3))
-    exact = monotone.union_box_volume(corners, "lower").volume
-    approx = monotone.union_box_volume(
-        corners, "lower", exact_cap=2, stream=RandomStream(4)
-    )
-    assert not approx.exact and approx.std_error is not None
-    assert abs(approx.volume - exact) <= 3.0 * approx.std_error
+    for mode in ("lower", "upper"):
+        exact = monotone.union_box_volume(corners, mode)
+        bracket = monotone.union_box_volume(corners, mode, exact_cap=2)
+        assert exact.exact and not bracket.exact
+        assert bracket.low <= exact.low <= bracket.high
+
+
+def _antichain(total: int, dim: int, cells: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct lattice points i/cells with coordinate sum total/cells.
+
+    Equal sums make every pair incomparable, so no box contains another.
+    """
+    gen = RandomStream(seed).substream("antichain").generator()
+    found: set[tuple[int, ...]] = set()
+    while len(found) < count:
+        head = gen.integers(0, cells + 1, size=dim - 1)
+        last = total - int(head.sum())
+        if 0 <= last <= cells:
+            found.add((*head.tolist(), last))
+    return np.array(sorted(found)) / cells
+
+
+@pytest.mark.parametrize("count, provenance", [(18, "exact"), (30, "bracket")])
+def test_gap_of_incomparable_corners_contains_grid_count(count, provenance):
+    # Incomparable dyadic corners all survive pruning: 18 per side take more
+    # than one block of inclusion-exclusion, 30 exceed the exact cap.  A
+    # 16-per-axis grid counts the true gap exactly.
+    lower = _antichain(20, 3, 16, count, seed=1)  # coordinate sum 1.25 < 3/2
+    upper = _antichain(28, 3, 16, count, seed=2)  # coordinate sum 1.75 >= 3/2
+    gap = (1.0 - grid_union_volume(lower, "lower", 16)) - grid_union_volume(upper, "upper", 16)
+    pair = monotone.build_fooling_pair(np.vstack([lower, upper]), 3)
+    assert pair.ell == count and pair.provenance == provenance
+    if provenance == "exact":
+        assert pair.gap_low == pair.gap_high == pytest.approx(gap, abs=1e-12)
+    else:
+        assert pair.gap_low <= gap <= pair.gap_high
+    assert pair.gap_low >= pair.guaranteed_gap - 1e-12
+
+
+def test_dominated_and_duplicate_corners_leave_volume_bits_unchanged():
+    gen = RandomStream(31).substream("pruning").generator()
+    for k, exact in ((8, True), (60, False)):
+        corners = gen.random((k, 8))
+        scale = gen.random((k, 1))  # each extra box lies inside its own corner's
+        for mode, extra in (("lower", corners * scale), ("upper", 1.0 - (1.0 - corners) * scale)):
+            volume = monotone.union_box_volume(corners, mode)
+            padded = np.vstack([extra, corners, corners[::-1]])
+            assert volume.exact == exact
+            assert monotone.union_box_volume(padded, mode) == volume
+
+
+def test_exact_volume_memory_stays_blocked():
+    import tracemalloc
+
+    gen = RandomStream(37).substream("memory").generator()
+    rows = 0.2 + gen.random((20, 20))
+    corners = 8.0 * rows / rows.sum(axis=1, keepdims=True)  # equal sums: incomparable
+    assert corners.max() <= 1.0
+    tracemalloc.start()
+    try:
+        volume = monotone.union_box_volume(corners, "lower")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # one unblocked 2^20 x 20 table alone is about 170 MB
+    bracket = monotone.union_box_volume(corners, "lower", exact_cap=0)
+    assert volume.exact and bracket.low <= volume.low <= bracket.high
 
 
 def test_exact_gap_values():
     pair = monotone.build_fooling_pair(np.zeros((0, 3)), 3)
-    assert pair.exact_gap == 1.0 and pair.guaranteed_gap == 1.0
+    assert pair.gap_low == 1.0 and pair.guaranteed_gap == 1.0
     for d in (1, 4, 9):
         pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
-        assert pair.exact_gap == 1.0 - 2.0 ** (-d)
+        assert pair.gap_low == 1.0 - 2.0 ** (-d)
 
 
 def test_exact_gap_mixed_instance_against_grid_oracle():
@@ -109,8 +171,8 @@ def test_exact_gap_mixed_instance_against_grid_oracle():
     )
     assert oracle_gap == pytest.approx(0.68, abs=1e-12)
     pair = monotone.build_fooling_pair(np.vstack([lower, upper]), 2)
-    assert pair.exact_gap == pytest.approx(0.68, abs=1e-12)
-    assert pair.exact_gap >= pair.guaranteed_gap == 0.5
+    assert pair.gap_low == pytest.approx(0.68, abs=1e-12)
+    assert pair.gap_low >= pair.guaranteed_gap == 0.5
 
 
 def test_pair_functions_agree_with_probe_on_transcript():
@@ -121,7 +183,7 @@ def test_pair_functions_agree_with_probe_on_transcript():
         probe = monotone.threshold_values(pts).astype(float)
         assert np.array_equal(pair.fplus_values(pts), probe)
         assert np.array_equal(pair.fminus_values(pts), probe)
-        assert pair.exact_gap >= pair.guaranteed_gap - 1e-12
+        assert pair.gap_low >= pair.guaranteed_gap - 1e-12
 
 
 def test_pair_functions_are_monotone():
@@ -198,8 +260,8 @@ def test_certificate_dominates_closed_form_for_every_algorithm():
             alg = algorithms.make_algorithm(algorithm_id, d, budget, RandomStream(55))
             transcript, _ = run_algorithm(alg, oracle, budget)
             pair = monotone.build_fooling_pair(transcript.points, d)
-            assert pair.volumes_exact
-            certificate = pair.exact_gap / 2.0
+            assert pair.provenance == "exact"
+            certificate = pair.gap_low / 2.0
             assert certificate >= monotone.error_lower_bound(pair.n, d) - 1e-12
 
 
