@@ -8,7 +8,8 @@ Subcommands
     gscan      scan the Chernoff factor over slice heights
     t0         compute the certified height threshold and accuracy cutoff
     quad       run baseline quadrature on built-in integrands
-    verify     run the internal property suite
+    verify     run the acceptance criteria (quadversary.acceptance), the same
+               checks as the pytest acceptance suite; takes about a minute
 
 Reports are CSV ('.' decimal, LF endings, header row, deterministic row
 order) or JSON; every run also writes a manifest with the full configuration,
@@ -24,7 +25,6 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import scipy
 from . import __version__, algorithms, convex, monotone, quadrature
 from .core import DomainError, RandomStream, run_algorithm
 
-__all__ = ["ConfigError", "ConsistencyError", "ExperimentConfig", "main", "run"]
+__all__ = ["ConfigError", "ConsistencyError", "main", "run"]
 
 OUT_DIR_ENV = "QUADVERSARY_OUT_DIR"
 
@@ -44,58 +44,6 @@ class ConfigError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal consistency gate failed (exit code 3)."""
-
-
-@dataclass(frozen=True)
-class BoundRow:
-    """One evaluated bound: dimension, accuracy, value, and provenance."""
-
-    d: int
-    eps: float
-    bound: int
-    formula_id: str
-    provenance: str
-    exceeds_budget: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated bound formulas over a dimension range."""
-
-    rows: tuple[BoundRow, ...]
-
-    HEADER = ["d", "eps", "bound", "formula_id", "provenance", "exceeds_budget"]
-
-    def to_rows(self) -> list[list]:
-        return [
-            [r.d, r.eps, r.bound, r.formula_id, r.provenance, r.exceeds_budget]
-            for r in self.rows
-        ]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated parameters of one harness invocation."""
-
-    command: str
-    problem_class: str = "monotone"
-    dim: int = 2
-    budget: int = 0
-    seed: int = 0
-    mc_samples: int = 10_000
-    algorithm_id: str = "constant-half"
-
-    def validate(self) -> None:
-        if self.problem_class not in ("monotone", "convex"):
-            raise ConfigError(f"unknown class {self.problem_class!r}")
-        if self.dim < 1:
-            raise ConfigError("d must be at least 1")
-        if self.budget < 0:
-            raise ConfigError("budget must be nonnegative")
-        if self.mc_samples < 1:
-            raise ConfigError("mc-samples must be at least 1")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed must be a 64-bit nonnegative integer")
 
 
 def _format_cell(value) -> str:
@@ -151,30 +99,33 @@ def _convex_theorem_bound(n: int, dim: int, t0: float) -> float:
     return max(0.0, 0.5 * (1.0 - convex.hull_volume_upper_bound(n, dim, t0)))
 
 
-def cmd_adversary(args) -> int:
-    config = ExperimentConfig(
-        command="adversary",
-        problem_class=args.problem_class,
-        dim=args.d,
-        budget=args.budget,
-        seed=args.seed,
-        mc_samples=args.mc_samples,
-        algorithm_id=args.algorithm,
-    )
-    config.validate()
-    if config.algorithm_id not in algorithms.ALGORITHM_IDS:
-        raise ConfigError(f"unknown algorithm {config.algorithm_id!r}")
-    stream = RandomStream(config.seed)
-    alg = algorithms.make_algorithm(
-        config.algorithm_id, config.dim, config.budget, stream.substream("algorithm")
-    )
+def _check_d_and_seed(args) -> None:
+    if args.d < 1:
+        raise ConfigError("d must be at least 1")
+    if not (0 <= args.seed < 2**64):
+        raise ConfigError("seed must be a 64-bit nonnegative integer")
 
-    if config.problem_class == "monotone":
-        oracle = algorithms.make_oracle("threshold", config.dim)
-        transcript, _ = run_algorithm(alg, oracle, config.budget)
-        pair = monotone.build_fooling_pair(transcript.points, config.dim)
+
+def cmd_adversary(args) -> int:
+    _check_d_and_seed(args)
+    if args.budget < 0:
+        raise ConfigError("budget must be nonnegative")
+    if args.mc_samples < 1:
+        raise ConfigError("mc-samples must be at least 1")
+    if args.algorithm not in algorithms.ALGORITHM_IDS:
+        raise ConfigError(f"unknown algorithm {args.algorithm!r}")
+    dim = args.d
+    config = {"class": args.problem_class, "d": dim, "budget": args.budget,
+              "seed": args.seed, "algorithm": args.algorithm}
+    stream = RandomStream(args.seed)
+    alg = algorithms.make_algorithm(args.algorithm, dim, args.budget, stream.substream("algorithm"))
+
+    if args.problem_class == "monotone":
+        oracle = algorithms.make_oracle("threshold", dim)
+        transcript, _ = run_algorithm(alg, oracle, args.budget)
+        pair = monotone.build_fooling_pair(transcript.points, dim)
         certified = pair.gap_low / 2.0
-        theorem = monotone.error_lower_bound(pair.n, config.dim)
+        theorem = monotone.error_lower_bound(pair.n, dim)
         if certified < theorem - 1e-12:
             raise ConsistencyError(
                 f"certified bound {certified} fell below the closed form {theorem}"
@@ -188,21 +139,21 @@ def cmd_adversary(args) -> int:
         else:
             header = ["d", "n", "ell", "gap_low", "gap_high", "guaranteed_gap", "provenance",
                       "error_lower_bound"]
-            rows = [[config.dim, pair.n, pair.ell, pair.gap_low, pair.gap_high,
+            rows = [[dim, pair.n, pair.ell, pair.gap_low, pair.gap_high,
                      pair.guaranteed_gap, pair.provenance, certified]]
             _write_report(out, header, rows, "csv")
-        _write_manifest(out, "adversary", asdict(config))
-        print(f"adversary monotone d={config.dim} n={pair.n} certified>={certified!r} -> {out}")
+        _write_manifest(out, "adversary", config)
+        print(f"adversary monotone d={dim} n={pair.n} certified>={certified!r} -> {out}")
         return 0
 
-    oracle = algorithms.zero_oracle(config.dim)
-    transcript, _ = run_algorithm(alg, oracle, config.budget)
-    samples = convex.SampleSet(transcript.points, config.dim)
+    oracle = algorithms.zero_oracle(dim)
+    transcript, _ = run_algorithm(alg, oracle, args.budget)
+    samples = convex.SampleSet(transcript.points, dim)
     estimate = convex.empirical_error_lower_bound(
-        samples, config.mc_samples, stream.substream("hull-mc")
+        samples, args.mc_samples, stream.substream("hull-mc")
     )
     threshold = convex.default_height_threshold()
-    theorem = _convex_theorem_bound(samples.n, config.dim, threshold.t0)
+    theorem = _convex_theorem_bound(samples.n, dim, threshold.t0)
     out = _resolve_out(args.out, f"adversary.{args.format}")
     header = [
         "d",
@@ -214,7 +165,7 @@ def cmd_adversary(args) -> int:
         "error_lower_bound_theorem",
     ]
     rows = [[
-        config.dim,
+        dim,
         samples.n,
         estimate.value,
         estimate.std_error,
@@ -223,8 +174,8 @@ def cmd_adversary(args) -> int:
         theorem,
     ]]
     _write_report(out, header, rows, args.format)
-    _write_manifest(out, "adversary", {**asdict(config), "t0": threshold.t0})
-    print(f"adversary convex d={config.dim} n={samples.n} stat>={estimate.value!r} -> {out}")
+    _write_manifest(out, "adversary", {**config, "mc_samples": args.mc_samples, "t0": threshold.t0})
+    print(f"adversary convex d={dim} n={samples.n} stat>={estimate.value!r} -> {out}")
     return 0
 
 
@@ -247,10 +198,10 @@ def cmd_bounds(args) -> int:
         bound_for = lambda d: convex.complexity_lower_bound(args.eps, d, threshold.eps0)
     for d in range(args.d, args.dmax + 1):
         bound = bound_for(d)
-        rows.append(BoundRow(d, args.eps, bound, formula, "certified-closed-form", bound > budget))
-    report = BoundReport(tuple(rows))
+        rows.append([d, args.eps, bound, formula, "certified-closed-form", bound > budget])
     out = _resolve_out(args.out, "bounds." + args.format)
-    _write_report(out, BoundReport.HEADER, report.to_rows(), args.format)
+    header = ["d", "eps", "bound", "formula_id", "provenance", "exceeds_budget"]
+    _write_report(out, header, rows, args.format)
     _write_manifest(out, "bounds", {
         "class": args.problem_class, "eps": args.eps, "d": args.d,
         "dmax": args.dmax, "budget": budget, **extra,
@@ -293,78 +244,64 @@ def cmd_t0(args) -> int:
     return 0
 
 
-def _rate_rows(dim: int, oracle_id: str) -> tuple[list[list], float]:
-    rows = []
-    logs = []
-    for m in (2, 4, 8, 16, 32):
-        oracle = algorithms.make_oracle(oracle_id, dim)
-        bracket = quadrature.staircase_monotone(oracle, m)
-        n = bracket.samples_used
-        rows.append([
-            dim, "staircase", n, bracket.estimate, bracket.certified_error,
-            algorithms.true_integral(oracle_id, dim),
-        ])
-        logs.append((np.log(n), np.log(bracket.certified_error)))
-    xs, ys = zip(*logs)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope
-
-
 def cmd_quad(args) -> int:
-    config = ExperimentConfig(
-        command="quad",
-        dim=args.d,
-        seed=args.seed,
-        budget=max(args.n, 0),
-    )
-    config.validate()
+    _check_d_and_seed(args)
+    dim = args.d
     if args.oracle not in algorithms.ORACLE_IDS:
         raise ConfigError(f"unknown oracle {args.oracle!r}")
     rows = []
     if args.method in ("staircase", "both"):
-        oracle = algorithms.make_oracle(args.oracle, config.dim)
-        bracket = quadrature.staircase_monotone(oracle, args.m, RandomStream(config.seed))
+        oracle = algorithms.make_oracle(args.oracle, dim)
+        bracket = quadrature.staircase_monotone(oracle, args.m, RandomStream(args.seed))
         rows.append([
-            config.dim, "staircase", bracket.samples_used, bracket.estimate,
-            bracket.certified_error, algorithms.true_integral(args.oracle, config.dim),
+            dim, "staircase", bracket.samples_used, bracket.estimate,
+            bracket.certified_error, algorithms.true_integral(args.oracle, dim),
         ])
     if args.method in ("mc", "both"):
         if args.n < 1:
             raise ConfigError("mc needs --n >= 1")
-        oracle = algorithms.make_oracle(args.oracle, config.dim)
-        estimate, rmse = quadrature.monte_carlo(oracle, args.n, RandomStream(config.seed))
+        oracle = algorithms.make_oracle(args.oracle, dim)
+        estimate, rmse = quadrature.monte_carlo(oracle, args.n, RandomStream(args.seed))
         rows.append([
-            config.dim, "mc", args.n, estimate, rmse,
-            algorithms.true_integral(args.oracle, config.dim),
+            dim, "mc", args.n, estimate, rmse,
+            algorithms.true_integral(args.oracle, dim),
         ])
     if args.method == "rate":
-        rate_rows, slope = _rate_rows(config.dim, args.oracle)
-        rows.extend(rate_rows)
-        rows.append([config.dim, "rate-slope", sum(r[2] for r in rate_rows), slope, "", ""])
+        brackets, slope = quadrature.staircase_rate(algorithms.make_oracle(args.oracle, dim))
+        truth = algorithms.true_integral(args.oracle, dim)
+        rows.extend(
+            [dim, "staircase", b.samples_used, b.estimate, b.certified_error, truth]
+            for b in brackets
+        )
+        rows.append([dim, "rate-slope", sum(b.samples_used for b in brackets), slope, "", ""])
     if not rows:
         raise ConfigError(f"unknown method {args.method!r}")
     out = _resolve_out(args.out, "quad." + args.format)
     header = ["d", "method", "n", "estimate", "certified_error_or_rmse", "true_value_if_known"]
     _write_report(out, header, rows, args.format)
     _write_manifest(out, "quad", {
-        "d": config.dim, "seed": config.seed, "method": args.method,
+        "d": dim, "seed": args.seed, "method": args.method,
         "oracle": args.oracle, "m": args.m, "n": args.n,
     })
-    print(f"quad {args.method} oracle={args.oracle} d={config.dim} -> {out}")
+    print(f"quad {args.method} oracle={args.oracle} d={dim} -> {out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    from . import selfcheck
+    from . import acceptance
 
-    results = selfcheck.run_all(seed=args.seed)
     failures = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    for criterion in acceptance.CRITERIA:
+        try:
+            line = acceptance.run_criterion(criterion)
+        except Exception as exc:  # a crashing criterion is a failing criterion
+            failures += 1
+            line = f"ACCEPTANCE {criterion.number:2d} FAIL: {type(exc).__name__}: {exc}"
+        print(line, flush=True)
+    total = len(acceptance.CRITERIA)
+    print(f"{total - failures}/{total} criteria passed")
     if failures:
-        raise ConsistencyError(f"{failures} verification checks failed")
+        raise ConsistencyError(f"{failures} acceptance criteria failed")
     return 0
 
 
@@ -422,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_quad)
 
-    p = sub.add_parser("verify", help="run the internal property suite")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("verify", help="run the acceptance criteria")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, RandomStream, uniform_blocks
+from .core import DomainError, EvalOracle, RandomStream, as_points, uniform_blocks
 
 __all__ = [
     "BracketEstimate",
@@ -25,6 +25,7 @@ __all__ = [
     "monte_carlo",
     "pc_approximate",
     "staircase_monotone",
+    "staircase_rate",
 ]
 
 
@@ -91,6 +92,18 @@ def staircase_monotone(
     )
 
 
+def staircase_rate(oracle: EvalOracle) -> tuple[list[BracketEstimate], float]:
+    """Staircase brackets at 2, 4, ..., 32 cells per axis and their rate.
+
+    The rate is the least-squares slope of log certified error against log
+    node count; for a monotone integrand it approaches -1/d.
+    """
+    brackets = [staircase_monotone(oracle, m) for m in (2, 4, 8, 16, 32)]
+    xs = [np.log(b.samples_used) for b in brackets]
+    ys = [np.log(b.certified_error) for b in brackets]
+    return brackets, float(np.polyfit(xs, ys, 1)[0])
+
+
 def monte_carlo(oracle: EvalOracle, n: int, stream: RandomStream) -> tuple[float, float]:
     """Uniform-sample mean with the constant-free n^(-1/2) error guarantee.
 
@@ -121,8 +134,9 @@ class PiecewiseConstantApprox:
             raise DomainError("cell values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 
-    def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Step values at an (N, dim) array of points of the unit cube."""
+        pts = as_points(points, self.dim)
         idx = np.minimum((pts * self.cells_per_axis).astype(int), self.cells_per_axis - 1)
         return self.values[tuple(idx.T)]
 

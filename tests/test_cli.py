@@ -2,7 +2,9 @@ import csv
 import json
 from pathlib import Path
 
-from quadversary import cli
+import pytest
+
+from quadversary import acceptance, cli
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -61,6 +63,25 @@ def test_adversary_monotone_bracket_at_high_dimension(tmp_path):
     assert row["provenance"] == "bracket"
     assert 0.5 * (1.0 - 1000 * 2.0**-20) <= certificate < 0.5
     assert float(row["gap_low"]) <= float(row["gap_high"])
+
+
+def test_adversary_manifests_record_what_each_class_reads(tmp_path):
+    from quadversary import convex
+
+    common = ["--d", "2", "--budget", "3", "--algorithm", "grid-scan", "--seed", "4"]
+    config = {"d": 2, "budget": 3, "algorithm": "grid-scan", "seed": 4}
+    assert cli.main(["adversary", "--class", "monotone", *common,
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+    assert manifest["command"] == "adversary"
+    assert manifest["config"] == {"class": "monotone", **config}
+    assert cli.main(["adversary", "--class", "convex", *common, "--mc-samples", "500",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+    manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+    assert manifest["config"] == {
+        "class": "convex", **config, "mc_samples": 500,
+        "t0": convex.default_height_threshold().t0,
+    }
 
 
 def test_adversary_convex_origin_sampler(tmp_path):
@@ -203,6 +224,15 @@ def test_config_errors_exit_2(tmp_path):
         "adversary", "--class", "monotone", "--d", "0",
         "--out", str(tmp_path / "z.csv"),
     ]) == 2
+    for bad in (["--budget", "-1"], ["--mc-samples", "0"], ["--seed", "-1"],
+                ["--seed", str(2**64)]):
+        assert cli.main([
+            "adversary", "--class", "convex", "--d", "2", *bad,
+            "--out", str(tmp_path / "w.csv"),
+        ]) == 2
+    for bad in (["--d", "0"], ["--d", "1", "--seed", "-1"]):
+        assert cli.main(["quad", *bad, "--out", str(tmp_path / "q.csv")]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_gate_failure_exits_3(tmp_path, monkeypatch):
@@ -217,5 +247,40 @@ def test_gate_failure_exits_3(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_verify_subcommand_passes():
+def _fake_criterion(number, cap_s=60.0, check=lambda: "fake detail"):
+    return acceptance.Criterion(number, cap_s, check)
+
+
+def test_verify_subcommand_passes(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", [_fake_criterion(1), _fake_criterion(2)])
     assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:18] for line in lines[:2]] == ["ACCEPTANCE  1 PASS", "ACCEPTANCE  2 PASS"]
+    assert lines[0].endswith("s < 60s): fake detail")
+    assert lines[2:] == ["2/2 criteria passed"]
+    with pytest.raises(SystemExit) as exc:  # the criteria take no seed
+        cli.main(["verify", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def _fails():
+    raise AssertionError("criterion does not hold")
+
+
+def _raises():
+    raise ZeroDivisionError("crashed")
+
+
+@pytest.mark.parametrize("cap_s, check, reason", [
+    (60.0, _fails, "AssertionError: criterion does not hold"),
+    (60.0, _raises, "ZeroDivisionError: crashed"),
+    (0.0, lambda: "fast but over a zero cap", "AssertionError: took "),
+], ids=["fails", "raises", "over-cap"])
+def test_verify_failure_exits_3(monkeypatch, capsys, cap_s, check, reason):
+    criteria = [_fake_criterion(1), _fake_criterion(2, cap_s, check), _fake_criterion(3)]
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    assert cli.main(["verify"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(f"ACCEPTANCE  2 FAIL: {reason}")
+    assert " PASS " in lines[0] and " PASS " in lines[2]
+    assert lines[3] == "2/3 criteria passed"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
-from conftest import maximal_convex_1d
 from quadversary import algorithms, convex, lp
+from quadversary.acceptance import maximal_convex_1d
 from quadversary.core import DomainError, RandomStream, run_algorithm
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_union_volume
 from quadversary import monotone
+from quadversary.acceptance import grid_union_volume
 from quadversary.core import DomainError, RandomStream
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -158,9 +158,9 @@ def test_exact_volume_memory_stays_blocked():
 def test_exact_gap_values():
     pair = monotone.build_fooling_pair(np.zeros((0, 3)), 3)
     assert pair.gap_low == 1.0 and pair.guaranteed_gap == 1.0
-    for d in (1, 4, 9):
+    for d in range(1, 21):
         pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
-        assert pair.gap_low == 1.0 - 2.0 ** (-d)
+        assert pair.gap_low == pair.gap_high == 1.0 - 2.0 ** (-d)
 
 
 def test_exact_gap_mixed_instance_against_grid_oracle():
