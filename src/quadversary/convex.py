@@ -7,6 +7,14 @@ at height 1; its value at x is found by a small linear program, and its
 integral (one minus that hull's volume) yields a statistical error lower
 bound for the algorithm.
 
+The LP optimum is the lower envelope of the affine functions y.rhs(x) over
+the dual vertices y, so :class:`MaximalConvexEvaluator` caches optimal
+bases.  It resolves each block of queries by an envelope sweep, one product
+of the cached duals against the block, testing primal feasibility only
+where a basis is within 1e-9 of a query's minimum.  The queries no cached
+basis covers are solved in rounds by one batched, warm-started ``lp.solve``
+each, whose new bases join the cache.
+
 The closed-form side bounds the hull volume from above: every point of P is a
 convex combination of at most d+1 cube vertices, each vertex's share of a low
 slice of the hull sits inside a ball cap, and the cap volume is driven below
@@ -103,39 +111,69 @@ def _membership_program(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     return a, np.ones(n)
 
 
+# Queries per block of MaximalConvexEvaluator.values.
+_QUERY_BLOCK = 4096
+# Cached bases per product of one sweep step: few, so that queries the first
+# steps resolve drop out of the later ones.
+_SWEEP_BASES = 16
+# A basis feasible for a query attains the minimum of y.rhs over the cached
+# duals y; only bases this close to that minimum are tested for feasibility.
+_NEAR_MIN = 1e-9
+
+
 class MaximalConvexEvaluator:
     """Evaluates the largest [0,1]-valued convex function vanishing on P.
 
     The underlying LP optimum is piecewise linear in the query point, so the
-    evaluator caches optimal bases: a cached basis whose basic solution stays
-    feasible for a new query certifies that query's optimum without another
-    solve (reduced costs do not depend on the right-hand side).  Batches of
-    queries then mostly reduce to a few matrix products.  A query no cached
-    basis covers is solved warm from the cached basis whose duals y give the
-    smallest y.rhs(x), an upper bound on the optimum that is tight when that
-    basis is feasible, so the solve starts near the optimum.
+    evaluator caches optimal bases with their duals y and inverses: a cached
+    basis whose basic solution stays feasible for a query certifies that
+    query's optimum y.rhs(x) without another solve (reduced costs do not
+    depend on the right-hand side).
+
+    Queries are taken in fixed-size blocks and resolved in rounds.  An
+    envelope sweep evaluates y.rhs(x) for all new duals in one product, keeps
+    each query's running minimum over the cache (an upper bound on the
+    optimum, tight exactly when the basis attaining it is feasible) and
+    tests feasibility only on bases within ``_NEAR_MIN`` of it.  The first
+    queries left unresolved are then solved together by one batched
+    ``lp.solve``, each warm from the cached basis attaining its minimum; the
+    new optimal bases join the cache and the next sweep.  A round holds
+    twice as many queries as the previous round found new bases, so solves
+    stay few while the cache still misses often and one at a time once it
+    covers nearly everything.
     """
 
     def __init__(self, samples: SampleSet):
         self.samples = samples
         self._constraints, self._objective = _membership_program(samples)
-        # Cached bases, their inverses, and their duals as the first rows of
-        # a buffer that doubles when full.
-        self._bases: list[tuple[int, ...]] = []
-        self._inverses: list[np.ndarray] = []
-        self._duals = np.empty((16, self._constraints.shape[0]))
+        m = self._constraints.shape[0]
+        # Cached bases, their duals and inverses, in buffers that double
+        # when full; ``_rows`` maps a basis to its row.
+        self._rows: dict[tuple[int, ...], int] = {}
+        self._bases = np.empty((16, m), dtype=int)
+        self._duals = np.empty((16, m))
+        self._inverses = np.empty((16, m, m))
 
-    def _solve_one(self, rhs: np.ndarray) -> lp.LPSolution:
-        program = lp.LinearProgram(self._objective, self._constraints, rhs)
-        k = len(self._bases)
-        start = self._bases[int(np.argmin(self._duals[:k] @ rhs))] if k else None
-        solution = lp.solve(program, start)
-        if k == self._duals.shape[0]:
-            self._duals = np.concatenate((self._duals, np.empty_like(self._duals)))
-        self._duals[k] = solution.duals
-        self._bases.append(solution.basis)
-        self._inverses.append(solution.basis_inverse)
-        return solution
+    def _cache(self, solution: lp.LPSolution) -> int:
+        """Append the bases of a batched solution not cached yet; count them."""
+        fresh = []
+        for j, key in enumerate(map(tuple, solution.basis.tolist())):
+            if key not in self._rows:
+                self._rows[key] = len(self._rows)
+                fresh.append(j)
+        end = len(self._rows)
+        if end > self._bases.shape[0]:
+            size = max(end, 2 * self._bases.shape[0])
+            for name in ("_bases", "_duals", "_inverses"):
+                old = getattr(self, name)
+                grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
+                grown[: old.shape[0]] = old
+                setattr(self, name, grown)
+        rows = slice(end - len(fresh), end)
+        self._bases[rows] = solution.basis[fresh]
+        self._duals[rows] = solution.duals[fresh]
+        self._inverses[rows] = solution.basis_inverse[fresh]
+        return len(fresh)
 
     def value(self, x: np.ndarray | Sequence[float]) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
@@ -146,32 +184,75 @@ class MaximalConvexEvaluator:
         n_q = pts.shape[0]
         if self.samples.n == 0:
             return np.ones(n_q)  # no mass at height 0: the hull is the top face
-
-        rhs = _query_rhs(pts)
         best = np.empty(n_q)
-        unresolved = np.ones(n_q, dtype=bool)
+        batch = 1
+        for lo in range(0, n_q, _QUERY_BLOCK):
+            hi = min(n_q, lo + _QUERY_BLOCK)
+            batch = self._resolve(_query_rhs(pts[lo:hi]), best[lo:hi], batch)
+        return np.clip(1.0 - best, 0.0, 1.0)
 
-        def apply_basis(k: int) -> None:
+    def _resolve(self, rhs: np.ndarray, best: np.ndarray, batch: int) -> int:
+        """Fill ``best`` with the LP optima of one block; return the next batch."""
+        n_q = rhs.shape[1]
+        unresolved = np.ones(n_q, dtype=bool)
+        low = np.full(n_q, np.inf)  # running minimum of y.rhs over the cache
+        start = np.zeros(n_q, dtype=int)  # the cache row attaining it
+        self._sweep(0, len(self._rows), rhs, best, unresolved, low, start)
+        while unresolved.any():
+            todo = np.flatnonzero(unresolved)[:batch]
+            program = lp.LinearProgram(self._objective, self._constraints, rhs[:, todo].T)
+            if self._rows:
+                rows = start[todo]
+                solution = lp.solve(
+                    program, self._bases[rows], start_inverse=self._inverses[rows]
+                )
+            else:
+                solution = lp.solve(program)
+            best[todo] = solution.value
+            unresolved[todo] = False
+            first = len(self._rows)
+            batch = max(1, 2 * self._cache(solution))
+            self._sweep(first, len(self._rows), rhs, best, unresolved, low, start)
+        return batch
+
+    def _sweep(
+        self,
+        first: int,
+        end: int,
+        rhs: np.ndarray,
+        best: np.ndarray,
+        unresolved: np.ndarray,
+        low: np.ndarray,
+        start: np.ndarray,
+    ) -> None:
+        """Resolve what cache rows ``first:end`` can and update the minima."""
+        for lo in range(first, end, _SWEEP_BASES):
             idx = np.flatnonzero(unresolved)
             if idx.size == 0:
                 return
             cols = rhs[:, idx]
-            feasible = (self._inverses[k] @ cols).min(axis=0) >= -lp.FEASIBILITY_TOL
-            hit = idx[feasible]
-            if hit.size:
-                best[hit] = self._duals[k] @ rhs[:, hit]
-                unresolved[hit] = False
-
-        for k in range(len(self._bases)):
-            apply_basis(k)
-        while unresolved.any():
-            first = int(np.flatnonzero(unresolved)[0])
-            solution = self._solve_one(rhs[:, first])
-            apply_basis(len(self._bases) - 1)
-            if unresolved[first]:  # the solving basis always covers its own query
-                best[first] = solution.value
-                unresolved[first] = False
-        return np.clip(1.0 - best, 0.0, 1.0)
+            objective = self._duals[lo : min(end, lo + _SWEEP_BASES)] @ cols
+            arg = objective.argmin(axis=0)
+            mins = objective[arg, np.arange(idx.size)]
+            lower = mins < low[idx]
+            low[idx[lower]] = mins[lower]
+            start[idx[lower]] = lo + arg[lower]
+            # Feasibility is tested only on (basis, query) pairs near the
+            # minimum, grouped by basis in cache order, so a query resolves
+            # at the first cached basis that covers it.
+            near_b, near_q = np.nonzero(objective <= low[idx] + _NEAR_MIN)
+            open_ = np.ones(idx.size, dtype=bool)
+            groups = np.flatnonzero(np.diff(near_b)) + 1
+            heads = near_b[np.r_[0, groups]] if near_b.size else near_b
+            for row, queries in zip(heads, np.split(near_q, groups)):
+                queries = queries[open_[queries]]
+                if queries.size == 0:
+                    continue
+                basic = self._inverses[lo + row] @ cols[:, queries]
+                hit = queries[basic.min(axis=0) >= -lp.FEASIBILITY_TOL]
+                best[idx[hit]] = objective[row, hit]
+                open_[hit] = False
+            unresolved[idx[~open_]] = False
 
 
 def maximal_convex_value(x: np.ndarray | Sequence[float], samples: SampleSet) -> float:

@@ -1,22 +1,34 @@
-"""Dense-tableau simplex for the tiny LPs behind the convex adversary.
+"""Batched revised simplex for the small LPs behind the convex adversary.
 
 Problems have the form  max c.v  subject to  A v <= b, v >= 0  with b >= 0,
 so the all-slack basis is feasible from the start and no phase-1 is needed.
-A solve may instead start from the basis of an earlier solve with the same
-A and c.  That basis was optimal for some right-hand side, so its reduced
-costs stay nonnegative for every b: dual-simplex pivots restore primal
-feasibility, then the primal loop finishes.  The warm tableau is rebuilt
-from the original columns as inv(B) @ [A | I | b], never carried over from
-an earlier tableau, so rounding cannot build up along chains of warm starts.
+One call solves K programs that share A and c but not b: a (K, m)
+right-hand side gives a solution whose fields carry a leading K axis, and a
+1-D right-hand side is the single program K = 1 with scalar fields.
+
+The K programs pivot in lockstep on stacked (K, m, m) basis inverses.  Each
+step prices every program from its own inverse (x_B = inv(B) b,
+y = c_B inv(B), reduced costs y [A | I] - c), picks each program's pivot by
+that program's own rules, and updates the inverses of all pivoting programs
+by one batched elementary row operation.  A program leaves the stack when it
+is optimal.
+
+A solve may start from the bases of earlier solves with the same A and c.
+Such a basis was optimal for some right-hand side, so its reduced costs stay
+nonnegative for every b: dual-simplex pivots restore primal feasibility,
+then the primal loop finishes.  A start's inverse is the one an earlier
+solve returned, or is computed from the original columns.  On exit every
+inverse is recomputed from the original columns with one batched inversion,
+so rounding cannot build up along chains of warm starts.
 
 Both phases price by Dantzig's rule (most negative reduced cost, most
 infeasible row; ties to the lowest index).  The dual ratio test breaks ties
 by the largest pivot element, the primal one by the lowest basic index.
 Dantzig's rule can cycle on degenerate vertices, so after more than m
-consecutive pivots that leave the objective unchanged the solve switches to
-Bland's rule, which cannot cycle, until it ends.
+consecutive pivots that leave a program's objective unchanged that program
+switches to Bland's rule, which cannot cycle, until it ends.
 
-Instances here are a few dozen rows at most; a dense tableau is the simplest
+Instances here are a few dozen rows at most; dense arrays are the simplest
 thing that is exactly reproducible and has no external dependencies.
 """
 
@@ -30,6 +42,7 @@ import numpy as np
 __all__ = ["FEASIBILITY_TOL", "LPError", "LinearProgram", "LPSolution", "solve"]
 
 FEASIBILITY_TOL = 1e-9
+_TIE = 1e-12  # ratios this close to the minimum tie
 
 
 class LPError(RuntimeError):
@@ -42,7 +55,11 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . v  s.t.  constraints @ v <= rhs,  v >= 0."""
+    """max objective . v  s.t.  constraints @ v <= rhs,  v >= 0.
+
+    ``rhs`` has shape (m,) for one program or (K, m) for K programs that
+    share the constraints and the objective.
+    """
 
     objective: np.ndarray
     constraints: np.ndarray
@@ -52,9 +69,9 @@ class LinearProgram:
         c = np.asarray(self.objective, dtype=float)
         a = np.atleast_2d(np.asarray(self.constraints, dtype=float))
         b = np.asarray(self.rhs, dtype=float)
-        if a.shape != (b.size, c.size):
+        if b.ndim not in (1, 2) or a.shape != (b.shape[-1], c.size):
             raise LPError(
-                f"inconsistent shapes: A{a.shape}, b({b.size},), c({c.size},)", None
+                f"inconsistent shapes: A{a.shape}, b{b.shape}, c({c.size},)", None
             )
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraints", a)
@@ -66,145 +83,196 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return self.rhs.size
+        return self.constraints.shape[0]
 
 
 @dataclass(frozen=True)
 class LPSolution:
     """Optimal value, primal/dual solutions, and the optimal basis.
 
-    ``basis_inverse`` is the inverse of the optimal basis matrix (read off
-    the slack columns of the final tableau).  Together with ``duals`` it
-    determines the optimum for any right-hand side that keeps this basis
-    feasible, which the convex adversary exploits to batch its evaluations.
+    ``basis_inverse`` is the inverse of the optimal basis matrix, computed
+    from the original columns.  Together with ``duals`` it determines the
+    optimum for any right-hand side that keeps this basis feasible, which
+    the convex adversary exploits to batch its evaluations.
+
+    For a batch of K programs ``value``, ``solution``, ``duals``, ``basis``
+    (an int array) and ``basis_inverse`` gain a leading K axis, and
+    ``iterations`` is the total number of pivots over the batch.
     """
 
-    value: float
+    value: float | np.ndarray
     solution: np.ndarray
     duals: np.ndarray
-    basis: tuple[int, ...]
+    basis: tuple[int, ...] | np.ndarray
     basis_inverse: np.ndarray
     iterations: int
 
 
 def solve(
     program: LinearProgram,
-    start: Sequence[int] | None = None,
+    start: Sequence[int] | np.ndarray | None = None,
     tol: float = FEASIBILITY_TOL,
     max_iterations: int = 10_000,
+    start_inverse: np.ndarray | None = None,
 ) -> LPSolution:
     """Run the simplex method from ``start`` or, by default, the slack basis.
 
     ``start`` is the ``basis`` of an earlier solution of a program with the
-    same constraints and objective.  If its basis matrix is singular the
-    solve starts from the slack basis instead.  ``iterations`` counts the
+    same constraints and objective, one row per program for a batch, and
+    ``start_inverse`` optionally that solution's ``basis_inverse``.  Without
+    it the inverse is computed, and a program whose start basis matrix is
+    singular starts from the slack basis instead.  ``iterations`` counts the
     pivots of both phases.
 
     Raises :class:`LPError` for negative right-hand sides (outside this
     solver's scope), a ``start`` that does not fit the program, unbounded or
-    infeasible problems, or iteration blowup.
+    infeasible problems, or more than ``max_iterations`` pivots in one
+    program.
     """
+    batched = program.rhs.ndim == 2
+    b = np.atleast_2d(program.rhs)
+    k, m = b.shape
     n = program.num_variables
-    m = program.num_constraints
-    b = program.rhs.copy()
     if b.size and b.min() < -tol:
         raise LPError("negative right-hand side; slack basis infeasible", program)
     b = np.maximum(b, 0.0)
+    columns = np.hstack((program.constraints, np.eye(m)))  # [A | I]
+    cost = np.concatenate((program.objective, np.zeros(m)))
+    basis, inverse = _start(program, columns, k, start, start_inverse, batched)
 
-    # Tableau rows 0..m-1 are constraints, row m carries reduced costs.
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = program.constraints
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[m, :n] = -program.objective
-    basis = list(range(n, n + m))
-    if start is not None:
-        start = [int(j) for j in start]
-        if len(start) != m or not all(0 <= j < n + m for j in start):
-            raise LPError(f"start basis {start} does not fit {m} rows", program)
-        warm = _rebuild(tableau, start)
-        if warm is not None:
-            tableau, basis = warm, start
-
-    iterations = 0
-    stalled = 0  # consecutive pivots that left the objective unchanged
-    bland = False
+    width = n + m  # larger than every column index, so it masks in argmin
+    pivots = np.zeros(k, dtype=int)
+    # The working set: programs still pivoting, their inverses, bases and
+    # right-hand sides, consecutive pivots at an unchanged objective, and
+    # whether they have switched to Bland's rule.
+    ids, inv, bas, rhs = np.arange(k), inverse, basis.copy(), b
+    count, stalled, bland = np.zeros(k, dtype=int), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
     while True:
-        reduced = tableau[m, : n + m]
-        values = tableau[:m, -1]
-        infeasible = np.flatnonzero(values < -tol)
-        if infeasible.size:
+        values = np.matmul(inv, rhs[..., None])[..., 0]
+        reduced = np.matmul(cost[bas][:, None, :], inv)[:, 0] @ columns - cost
+        dual = (values < -tol).any(axis=1)
+        primal = ~dual & (reduced < -tol).any(axis=1)
+        moving = dual | primal
+        if not moving.all():
+            done = ids[~moving]
+            basis[done], pivots[done] = bas[~moving], count[~moving]
+            keep = np.flatnonzero(moving)
+            if keep.size == 0:
+                break
+            ids, inv, bas, rhs, count, stalled, bland = (
+                x[keep] for x in (ids, inv, bas, rhs, count, stalled, bland)
+            )
+            values, reduced, dual, primal = values[keep], reduced[keep], dual[keep], primal[keep]
+        leaving = np.zeros(ids.size, dtype=int)
+        entering = np.zeros(ids.size, dtype=int)
+        degenerate = np.zeros(ids.size, dtype=bool)
+
+        rows = np.flatnonzero(dual)
+        if rows.size:
             # Dual simplex: the most infeasible row leaves, and the ratio
             # test keeps every reduced cost nonnegative.
-            if bland:
-                leaving = int(min(infeasible, key=lambda r: basis[r]))
-            else:
-                leaving = int(np.argmin(values))
-            row = tableau[leaving, : n + m]
-            cols = np.flatnonzero(row < -tol)
-            if cols.size == 0:
+            vals, rule = values[rows], bland[rows]
+            out = np.where(
+                rule, np.where(vals < -tol, bas[rows], width).argmin(axis=1), vals.argmin(axis=1)
+            )
+            row = inv[rows, out] @ columns
+            blocking = row < -tol
+            if not blocking.any(axis=1).all():
                 raise LPError("constraints infeasible", program)
-            ratios = np.maximum(reduced[cols], 0.0) / -row[cols]
-            ties = cols[ratios <= ratios.min() + 1e-12]
+            ratios = np.full(row.shape, np.inf)
+            np.divide(np.maximum(reduced[rows], 0.0), -row, out=ratios, where=blocking)
+            ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE
             # A basis that is dual degenerate ties many columns at ratio 0;
             # taking the lowest index there wanders through dozens of bases,
             # the largest pivot element rarely needs more than a few.
-            entering = int(ties[0] if bland else ties[np.argmin(row[ties])])
-            degenerate = reduced[entering] <= tol
-        else:
-            negative = np.flatnonzero(reduced < -tol)
-            if negative.size == 0:
-                break
-            entering = int(negative[0]) if bland else int(np.argmin(reduced))
-            column = tableau[:m, entering]
-            rows = np.flatnonzero(column > tol)
-            if rows.size == 0:
+            into = np.where(rule, ties.argmax(axis=1), np.where(ties, row, np.inf).argmin(axis=1))
+            leaving[rows], entering[rows] = out, into
+            degenerate[rows] = reduced[rows, into] <= tol
+
+        rows = np.flatnonzero(primal)
+        if rows.size:
+            red = reduced[rows]
+            into = np.where(bland[rows], (red < -tol).argmax(axis=1), red.argmin(axis=1))
+            column = np.matmul(inv[rows], columns[:, into].T[..., None])[..., 0]
+            blocking = column > tol
+            if not blocking.any(axis=1).all():
                 raise LPError("objective unbounded above", program)
-            ratios = values[rows] / column[rows]
-            ties = rows[ratios <= ratios.min() + 1e-12]
-            leaving = int(min(ties, key=lambda r: basis[r]))
-            degenerate = values[leaving] <= tol
+            ratios = np.full(column.shape, np.inf)
+            np.divide(values[rows], column, out=ratios, where=blocking)
+            ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE
+            out = np.where(ties, bas[rows], width).argmin(axis=1)
+            leaving[rows], entering[rows] = out, into
+            degenerate[rows] = values[rows, out] <= tol
 
-        pivot_row = tableau[leaving] / tableau[leaving, entering]
-        tableau -= np.outer(tableau[:, entering], pivot_row)
-        tableau[leaving] = pivot_row
-        basis[leaving] = entering
-
-        iterations += 1
-        if iterations > max_iterations:
+        # Pivot: inv(B) gets one elementary row operation per program.
+        at = np.arange(ids.size)
+        column = np.matmul(inv, columns[:, entering].T[..., None])[..., 0]
+        pivot_row = inv[at, leaving] / column[at, leaving, None]
+        inv = inv - column[:, :, None] * pivot_row[:, None, :]
+        inv[at, leaving] = pivot_row
+        bas[at, leaving] = entering
+        count += 1
+        if count.max() > max_iterations:
             raise LPError(f"no optimum after {max_iterations} pivots", program)
-        stalled = stalled + 1 if degenerate else 0
-        bland = bland or stalled > m
+        stalled = np.where(degenerate, stalled + 1, 0)
+        bland |= stalled > m
 
-    solution = np.zeros(n)
-    for row, col in enumerate(basis):
-        if col < n:
-            solution[col] = tableau[row, -1]
+    inverse = np.linalg.inv(columns[:, basis].transpose(1, 0, 2))
+    values = np.matmul(inverse, b[..., None])[..., 0]
+    basic_cost = cost[basis]
+    duals = np.matmul(basic_cost[:, None, :], inverse)[:, 0]
+    solution = np.zeros((k, n + m))
+    np.put_along_axis(solution, basis, values, axis=1)
+    value = (basic_cost * values).sum(axis=1)
+    if batched:
+        return LPSolution(value, solution[:, :n], duals, basis, inverse, int(pivots.sum()))
     return LPSolution(
-        value=float(tableau[m, -1]),
-        solution=solution,
-        duals=tableau[m, n : n + m].copy(),
-        basis=tuple(basis),
-        basis_inverse=tableau[:m, n : n + m].copy(),
-        iterations=iterations,
+        value=float(value[0]),
+        solution=solution[0, :n],
+        duals=duals[0],
+        basis=tuple(int(j) for j in basis[0]),
+        basis_inverse=inverse[0],
+        iterations=int(pivots[0]),
     )
 
 
-def _rebuild(tableau: np.ndarray, basis: list[int]) -> np.ndarray | None:
-    """The tableau of ``basis``, built from the slack-basis ``tableau``.
+def _start(
+    program: LinearProgram,
+    columns: np.ndarray,
+    k: int,
+    start: Sequence[int] | np.ndarray | None,
+    start_inverse: np.ndarray | None,
+    batched: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Starting bases (K, m) and their inverses (K, m, m).
 
-    Constraint rows become inv(B) @ [A | I | b] and the reduced-cost row is
-    priced out against them.  Returns None when B is singular.
+    Without ``start`` every program starts from the slack basis.  A start
+    whose basis matrix is singular is replaced by the slack basis, unless
+    its inverse was given.
     """
-    m = tableau.shape[0] - 1
+    m, width = columns.shape
+    slack = np.arange(width - m, width)
+    if start is None:
+        return np.tile(slack, (k, 1)), np.tile(np.eye(m), (k, 1, 1))
+    basis = np.array(start, dtype=int)
+    if not batched:
+        basis = basis[None]
+    if basis.shape != (k, m) or basis.min() < 0 or basis.max() >= width:
+        raise LPError(f"start basis {start} does not fit {m} rows", program)
+    if start_inverse is not None:
+        inverse = np.array(start_inverse, dtype=float)
+        if inverse.shape != ((k, m, m) if batched else (m, m)):
+            raise LPError(f"start inverse of shape {inverse.shape} for {m} rows", program)
+        return basis, inverse.reshape(k, m, m)
+    matrices = columns[:, basis].transpose(1, 0, 2)
     try:
-        inverse = np.linalg.inv(tableau[:m, basis])
+        return basis, np.linalg.inv(matrices)
     except np.linalg.LinAlgError:
-        return None
-    rows = inverse @ tableau[:m]
-    warm = np.empty_like(tableau)
-    warm[:m] = rows
-    warm[m] = tableau[m] - tableau[m, basis] @ rows
-    warm[:m, basis] = np.eye(m)
-    warm[m, basis] = 0.0
-    return warm
+        pass
+    inverse = np.empty_like(matrices)
+    for j, matrix in enumerate(matrices):
+        try:
+            inverse[j] = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            basis[j], inverse[j] = slack, np.eye(m)
+    return basis, inverse

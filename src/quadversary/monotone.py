@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import DomainError, EvalOracle, as_points
 
@@ -266,30 +265,13 @@ def complexity_lower_bound(eps: float, dim: int) -> int:
 
 
 def simplex_product_max(dim: int) -> float:
-    """Maximize the coordinate product over the cube cut by sum <= d/2.
+    """Maximum of the coordinate product over the cube cut by sum <= d/2.
 
-    Solved as a smooth concave program (log objective) with a sequential
-    quadratic solver; the result is polished by rescaling onto the sum
-    constraint, which never decreases the product.  Non-convergence raises
-    :class:`ConvergenceError` with the solver diagnostics.
+    The maximum is exactly 2^-d, attained at the centre.  By the AM-GM
+    inequality, d numbers in [0, 1] whose sum is at most d/2 have a product
+    of at most (sum / d)^d <= (1/2)^d, and the centre (1/2, ..., 1/2) meets
+    the sum constraint with equality and has product (1/2)^d.
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
-    half_sum = dim / 2.0
-    result = minimize(
-        lambda y: -float(np.log(y).sum()), x0=np.full(dim, 0.25), jac=lambda y: -1.0 / y,
-        method="SLSQP", bounds=[(1e-12, 1.0)] * dim,
-        constraints=[{"type": "ineq", "fun": lambda y: half_sum - y.sum()}],
-        options={"ftol": 1e-14, "maxiter": 500},
-    )
-    if not result.success:
-        raise ConvergenceError(f"product maximization failed: {result.message}")
-    y = np.clip(result.x, 1e-12, 1.0)
-    total = y.sum()
-    if total > half_sum + 1e-9:
-        raise ConvergenceError(f"solver left the feasible region (sum {total})")
-    if 0.0 < total < half_sum:
-        scale = half_sum / total
-        if (y * scale).max() <= 1.0:
-            y = y * scale
-    return float(np.prod(y))
+    return 2.0**-dim

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -284,3 +287,30 @@ def test_verify_failure_exits_3(monkeypatch, capsys, cap_s, check, reason):
     assert lines[1].startswith(f"ACCEPTANCE  2 FAIL: {reason}")
     assert " PASS " in lines[0] and " PASS " in lines[2]
     assert lines[3] == "2/3 criteria passed"
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_optimize_and_special_unloaded():
+    done = _fresh_python(
+        "-c",
+        "import sys, quadversary.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "bounds.csv"
+    done = _fresh_python(
+        "-m", "quadversary.cli", "bounds", "--class", "monotone",
+        "--eps", "0.25", "--dmax", "3", "--out", str(out),
+    )
+    assert done.returncode == 0, done.stderr
+    assert [int(r["d"]) for r in read_csv(out)] == [1, 2, 3]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from quadversary import algorithms, convex, lp
 from quadversary.acceptance import maximal_convex_1d
@@ -84,6 +86,34 @@ def test_evaluator_matches_highs_on_degenerate_sample_sets(algorithm_id, dim, bu
     xs = RandomStream(31).substream(algorithm_id).generator().random((150, dim))
     got = convex.MaximalConvexEvaluator(samples).values(xs)
     assert np.abs(got - _highs_values(samples, xs)).max() <= 1e-9
+
+
+def _qhull_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
+    """The maximal vanishing convex function as a Qhull lower envelope.
+
+    Its epigraph in the cube is the hull of P x {0} and {0,1}^d x {1}, so
+    f(x) is the largest of the affine functions of the hull's lower facets.
+    """
+    d = samples.dim
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    lifted = np.vstack([
+        np.hstack([samples.points, np.zeros((samples.n, 1))]),
+        np.hstack([corners, np.ones((2**d, 1))]),
+    ])
+    equations = ConvexHull(lifted).equations  # normal . (x, z) + offset <= 0
+    lower = equations[equations[:, d] < -1e-9]
+    return (-(xs @ lower[:, :d].T + lower[:, d + 1]) / lower[:, d]).max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "dim,n,queries", [(2, 6, 500), (3, 8, 500), (4, 10, 500), (5, 12, 500), (6, 30, 2000)]
+)
+def test_evaluator_matches_qhull_lower_envelope(dim, n, queries):
+    gen = RandomStream(33).substream("qhull", dim).generator()
+    samples = convex.SampleSet(gen.random((n, dim)), dim)
+    xs = gen.random((queries, dim))
+    got = convex.MaximalConvexEvaluator(samples).values(xs)
+    assert np.abs(got - _qhull_values(samples, xs)).max() <= 1e-9
 
 
 def test_warm_started_solves_stay_few_pivots(monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from quadversary import lp
+from quadversary import algorithms, lp
+from quadversary.core import RandomStream, run_algorithm
 
 
 def test_known_two_variable_optimum():
@@ -130,3 +131,86 @@ def test_singular_start_falls_back_to_slack_start():
     for start in ((0,), (0, 4), (-1, 2)):
         with pytest.raises(lp.LPError):
             lp.solve(program, start)
+
+
+def _membership(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constraints and objective of the convex adversary's hull LP."""
+    return np.vstack([np.ones(len(points)), points.T, 1.0 - points.T]), np.ones(len(points))
+
+
+def _query_rhs(xs: np.ndarray) -> np.ndarray:
+    return np.hstack([np.ones((len(xs), 1)), xs, 1.0 - xs])
+
+
+@pytest.mark.parametrize(
+    "algorithm_id,dim,budget",
+    [("grid-scan", 2, 1000), ("vertex-scan", 8, 8), ("uniform-random", 6, 30)],
+)
+def test_batch_of_cold_and_warm_starts_matches_highs(algorithm_id, dim, budget):
+    # Collinear grid points and the vertices of a cube face are degenerate;
+    # queries at sample points and at cube corners add degenerate programs.
+    alg = algorithms.make_algorithm(algorithm_id, dim, budget, RandomStream(0))
+    points = run_algorithm(alg, algorithms.zero_oracle(dim), budget)[0].points
+    a, c = _membership(points)
+    m, n = a.shape
+    gen = RandomStream(41).substream(algorithm_id).generator()
+    xs = np.vstack([gen.random((24, dim)), points[:4], gen.integers(0, 2, (4, dim))])
+    rhs = _query_rhs(xs)
+    refs = []
+    for b in rhs:
+        ref = linprog(-c, A_ub=a, b_ub=b, method="highs")
+        assert ref.status == 0
+        refs.append(-ref.fun)
+    # Every third program starts cold from the slack basis, the others warm
+    # from the optimal basis of another query.
+    earlier = lp.solve(lp.LinearProgram(c, a, _query_rhs(gen.random(xs.shape))))
+    cold = (np.arange(len(xs)) % 3 == 0)[:, None]
+    start = np.where(cold, np.arange(n, n + m), earlier.basis)
+    inverse = np.where(cold[..., None], np.eye(m), earlier.basis_inverse)
+    for start_inverse in (inverse, None):
+        sol = lp.solve(lp.LinearProgram(c, a, rhs), start, start_inverse=start_inverse)
+        assert sol.value.shape == (len(xs),) and sol.basis.shape == (len(xs), m)
+        for j, b in enumerate(rhs):
+            y = sol.duals[j]
+            assert sol.value[j] == pytest.approx(refs[j], abs=1e-9)
+            assert sol.value[j] == pytest.approx(float(y @ b), abs=1e-9)
+            assert (a.T @ y >= c - 1e-9).all() and y.min() >= -1e-9
+            columns = np.hstack([a, np.eye(m)])[:, sol.basis[j]]
+            assert np.abs(sol.basis_inverse[j] @ columns - np.eye(m)).max() <= 1e-9
+            assert (a @ sol.solution[j] <= b + 1e-9).all()
+            assert sol.solution[j].min() >= -1e-12
+
+
+def test_batch_pivots_each_program_as_a_lone_solve_would():
+    # Row 0 is Beale's program, which Dantzig's rule alone cycles on: it ends
+    # only after its switch to Bland's rule.  The other rows share A and c.
+    c = [0.75, -150.0, 0.02, -6.0]
+    a = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    rhs = np.array([[0.0, 0.0, 1.0], [0.1, 0.2, 1.0], [0.0, 0.0, 0.5], [0.3, 0.0, 1.0]])
+    sol = lp.solve(lp.LinearProgram(c, a, rhs))
+    assert sol.value[0] == pytest.approx(0.05, abs=1e-12)
+    assert sol.solution[0] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+    lone = [lp.solve(lp.LinearProgram(c, a, b)) for b in rhs]
+    assert sol.iterations == sum(s.iterations for s in lone)
+    for j, b in enumerate(rhs):
+        ref = linprog(-np.array(c), A_ub=a, b_ub=b, method="highs")
+        assert sol.value[j] == pytest.approx(-ref.fun, abs=1e-9)
+        assert sol.value[j] == pytest.approx(lone[j].value, abs=1e-12)
+        assert tuple(sol.basis[j]) == lone[j].basis
+    with pytest.raises(lp.LPError, match="pivots"):
+        lp.solve(lp.LinearProgram(c, a, rhs[[3, 0]]), max_iterations=5)
+    assert lp.solve(lp.LinearProgram(c, a, rhs[[3]]), max_iterations=5).value[0] > 0.0
+
+
+def test_one_bad_program_fails_the_whole_batch():
+    a, c = [[1.0, 1.0], [1.0, 3.0]], [1.0, 2.0]
+    with pytest.raises(lp.LPError, match="negative"):
+        lp.solve(lp.LinearProgram(c, a, [[1.0, 2.0], [0.5, -0.5], [2.0, 1.0]]))
+    with pytest.raises(lp.LPError, match="unbounded"):
+        lp.solve(lp.LinearProgram([1.0, 1.0], [[0.0, 1.0]], [[1.0], [2.0]]))
+    batch = lp.LinearProgram(c, a, [[1.0, 2.0], [2.0, 1.0]])
+    for start in ([0, 1], [[0, 1]], [[0, 1], [0, 4]]):
+        with pytest.raises(lp.LPError):
+            lp.solve(batch, start)
+    with pytest.raises(lp.LPError):
+        lp.solve(batch, [[0, 1], [0, 1]], start_inverse=np.eye(2))
