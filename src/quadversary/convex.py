@@ -202,10 +202,7 @@ class MaximalConvexEvaluator:
             todo = np.flatnonzero(unresolved)[:batch]
             program = lp.LinearProgram(self._objective, self._constraints, rhs[:, todo].T)
             if self._rows:
-                rows = start[todo]
-                solution = lp.solve(
-                    program, self._bases[rows], start_inverse=self._inverses[rows]
-                )
+                solution = lp.solve(program, self._bases[start[todo]])
             else:
                 solution = lp.solve(program)
             best[todo] = solution.value

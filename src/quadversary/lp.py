@@ -16,10 +16,10 @@ is optimal.
 A solve may start from the bases of earlier solves with the same A and c.
 Such a basis was optimal for some right-hand side, so its reduced costs stay
 nonnegative for every b: dual-simplex pivots restore primal feasibility,
-then the primal loop finishes.  A start's inverse is the one an earlier
-solve returned, or is computed from the original columns.  On exit every
-inverse is recomputed from the original columns with one batched inversion,
-so rounding cannot build up along chains of warm starts.
+then the primal loop finishes.  Start inverses are computed from the
+original columns, and on exit every inverse is recomputed from them with
+one batched inversion, so rounding cannot build up along chains of warm
+starts.
 
 Both phases price by Dantzig's rule (most negative reduced cost, most
 infeasible row; ties to the lowest index).  The dual ratio test breaks ties
@@ -113,16 +113,13 @@ def solve(
     start: Sequence[int] | np.ndarray | None = None,
     tol: float = FEASIBILITY_TOL,
     max_iterations: int = 10_000,
-    start_inverse: np.ndarray | None = None,
 ) -> LPSolution:
     """Run the simplex method from ``start`` or, by default, the slack basis.
 
     ``start`` is the ``basis`` of an earlier solution of a program with the
-    same constraints and objective, one row per program for a batch, and
-    ``start_inverse`` optionally that solution's ``basis_inverse``.  Without
-    it the inverse is computed, and a program whose start basis matrix is
-    singular starts from the slack basis instead.  ``iterations`` counts the
-    pivots of both phases.
+    same constraints and objective, one row per program for a batch.  A
+    program whose start basis matrix is singular starts from the slack basis
+    instead.  ``iterations`` counts the pivots of both phases.
 
     Raises :class:`LPError` for negative right-hand sides (outside this
     solver's scope), a ``start`` that does not fit the program, unbounded or
@@ -138,7 +135,7 @@ def solve(
     b = np.maximum(b, 0.0)
     columns = np.hstack((program.constraints, np.eye(m)))  # [A | I]
     cost = np.concatenate((program.objective, np.zeros(m)))
-    basis, inverse = _start(program, columns, k, start, start_inverse, batched)
+    basis, inverse = _start(program, columns, k, start, batched)
 
     width = n + m  # larger than every column index, so it masks in argmin
     pivots = np.zeros(k, dtype=int)
@@ -241,14 +238,12 @@ def _start(
     columns: np.ndarray,
     k: int,
     start: Sequence[int] | np.ndarray | None,
-    start_inverse: np.ndarray | None,
     batched: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Starting bases (K, m) and their inverses (K, m, m).
 
     Without ``start`` every program starts from the slack basis.  A start
-    whose basis matrix is singular is replaced by the slack basis, unless
-    its inverse was given.
+    whose basis matrix is singular is replaced by the slack basis.
     """
     m, width = columns.shape
     slack = np.arange(width - m, width)
@@ -259,11 +254,6 @@ def _start(
         basis = basis[None]
     if basis.shape != (k, m) or basis.min() < 0 or basis.max() >= width:
         raise LPError(f"start basis {start} does not fit {m} rows", program)
-    if start_inverse is not None:
-        inverse = np.array(start_inverse, dtype=float)
-        if inverse.shape != ((k, m, m) if batched else (m, m)):
-            raise LPError(f"start inverse of shape {inverse.shape} for {m} rows", program)
-        return basis, inverse.reshape(k, m, m)
     matrices = columns[:, basis].transpose(1, 0, 2)
     try:
         return basis, np.linalg.inv(matrices)

@@ -106,7 +106,8 @@ def _qhull_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "dim,n,queries", [(2, 6, 500), (3, 8, 500), (4, 10, 500), (5, 12, 500), (6, 30, 2000)]
+    "dim,n,queries",
+    [(2, 6, 500), (3, 8, 500), (4, 10, 500), (5, 12, 500), (6, 30, 2000), (4, 10, 9000)],
 )
 def test_evaluator_matches_qhull_lower_envelope(dim, n, queries):
     gen = RandomStream(33).substream("qhull", dim).generator()

@@ -166,19 +166,17 @@ def test_batch_of_cold_and_warm_starts_matches_highs(algorithm_id, dim, budget):
     earlier = lp.solve(lp.LinearProgram(c, a, _query_rhs(gen.random(xs.shape))))
     cold = (np.arange(len(xs)) % 3 == 0)[:, None]
     start = np.where(cold, np.arange(n, n + m), earlier.basis)
-    inverse = np.where(cold[..., None], np.eye(m), earlier.basis_inverse)
-    for start_inverse in (inverse, None):
-        sol = lp.solve(lp.LinearProgram(c, a, rhs), start, start_inverse=start_inverse)
-        assert sol.value.shape == (len(xs),) and sol.basis.shape == (len(xs), m)
-        for j, b in enumerate(rhs):
-            y = sol.duals[j]
-            assert sol.value[j] == pytest.approx(refs[j], abs=1e-9)
-            assert sol.value[j] == pytest.approx(float(y @ b), abs=1e-9)
-            assert (a.T @ y >= c - 1e-9).all() and y.min() >= -1e-9
-            columns = np.hstack([a, np.eye(m)])[:, sol.basis[j]]
-            assert np.abs(sol.basis_inverse[j] @ columns - np.eye(m)).max() <= 1e-9
-            assert (a @ sol.solution[j] <= b + 1e-9).all()
-            assert sol.solution[j].min() >= -1e-12
+    sol = lp.solve(lp.LinearProgram(c, a, rhs), start)
+    assert sol.value.shape == (len(xs),) and sol.basis.shape == (len(xs), m)
+    for j, b in enumerate(rhs):
+        y = sol.duals[j]
+        assert sol.value[j] == pytest.approx(refs[j], abs=1e-9)
+        assert sol.value[j] == pytest.approx(float(y @ b), abs=1e-9)
+        assert (a.T @ y >= c - 1e-9).all() and y.min() >= -1e-9
+        columns = np.hstack([a, np.eye(m)])[:, sol.basis[j]]
+        assert np.abs(sol.basis_inverse[j] @ columns - np.eye(m)).max() <= 1e-9
+        assert (a @ sol.solution[j] <= b + 1e-9).all()
+        assert sol.solution[j].min() >= -1e-12
 
 
 def test_batch_pivots_each_program_as_a_lone_solve_would():
@@ -212,5 +210,3 @@ def test_one_bad_program_fails_the_whole_batch():
     for start in ([0, 1], [[0, 1]], [[0, 1], [0, 4]]):
         with pytest.raises(lp.LPError):
             lp.solve(batch, start)
-    with pytest.raises(lp.LPError):
-        lp.solve(batch, [[0, 1], [0, 1]], start_inverse=np.eye(2))
