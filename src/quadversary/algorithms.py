@@ -31,31 +31,25 @@ __all__ = [
 
 
 def threshold_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(dim=dim, fn=threshold_values, class_tag="monotone", name="threshold")
+    return EvalOracle(dim=dim, fn=threshold_values)
 
 
 def product_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(
-        dim=dim, fn=lambda pts: np.prod(pts, axis=1), class_tag="monotone", name="product"
-    )
+    return EvalOracle(dim=dim, fn=lambda pts: np.prod(pts, axis=1))
 
 
 def affine_oracle(dim: int) -> EvalOracle:
     # The coordinate mean is linear, hence both monotone and convex.
-    return EvalOracle(dim=dim, fn=lambda pts: pts.mean(axis=1), class_tag="convex", name="affine")
+    return EvalOracle(dim=dim, fn=lambda pts: pts.mean(axis=1))
 
 
 def square_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(
-        dim=dim, fn=lambda pts: (pts * pts).mean(axis=1), class_tag="convex", name="square"
-    )
+    return EvalOracle(dim=dim, fn=lambda pts: (pts * pts).mean(axis=1))
 
 
 def zero_oracle(dim: int) -> EvalOracle:
     """The probe integrand for the convex adversary."""
-    return EvalOracle(
-        dim=dim, fn=lambda pts: np.zeros(pts.shape[0]), class_tag="convex", name="zero"
-    )
+    return EvalOracle(dim=dim, fn=lambda pts: np.zeros(pts.shape[0]))
 
 
 _ORACLES = {

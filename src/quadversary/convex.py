@@ -41,7 +41,6 @@ __all__ = [
     "ChernoffBound",
     "CoverCheck",
     "HeightThreshold",
-    "HullGeometry",
     "MaximalConvexEvaluator",
     "McEstimate",
     "SampleSet",
@@ -51,7 +50,6 @@ __all__ = [
     "chernoff_factor_min",
     "complexity_lower_bound",
     "default_height_threshold",
-    "elekes_ball",
     "elekes_cover_check",
     "empirical_error_lower_bound",
     "find_height_threshold",
@@ -175,9 +173,6 @@ class MaximalConvexEvaluator:
         self._inverses[rows] = solution.basis_inverse[fresh]
         return len(fresh)
 
-    def value(self, x: np.ndarray | Sequence[float]) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
-
     def values(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) batch of query points."""
         pts = as_points(np.atleast_2d(queries), self.samples.dim)
@@ -254,10 +249,7 @@ class MaximalConvexEvaluator:
 
 def maximal_convex_value(x: np.ndarray | Sequence[float], samples: SampleSet) -> float:
     """Single-query evaluation by a fresh :class:`MaximalConvexEvaluator`."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (samples.dim,):
-        raise DomainError(f"query has shape {arr.shape}, expected ({samples.dim},)")
-    return MaximalConvexEvaluator(samples).value(arr)
+    return float(MaximalConvexEvaluator(samples).values(np.asarray(x)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -353,21 +345,6 @@ def vertexize(samples: SampleSet) -> SampleSet:
     return SampleSet(np.array(rows, dtype=float), samples.dim)
 
 
-def elekes_ball(vertex: np.ndarray | Sequence[float], dim: int) -> tuple[np.ndarray, float]:
-    """Covering ball spanned between a cube vertex and the cube center.
-
-    Center is the midpoint of vertex and cube center, radius half their
-    distance (sqrt(d)/4), so the vertex itself lies on the boundary.
-    """
-    v = np.asarray(vertex, dtype=float)
-    if v.shape != (dim,):
-        raise DomainError(f"vertex has shape {v.shape}, expected ({dim},)")
-    if not np.all((v == 0.0) | (v == 1.0)):
-        raise DomainError("covering balls are defined for cube vertices only")
-    center = (v + 0.5) / 2.0
-    return center, math.sqrt(dim) / 4.0
-
-
 @dataclass(frozen=True)
 class CoverCheck:
     """Outcome of sampling hull points against the vertex ball cover."""
@@ -383,8 +360,9 @@ def elekes_cover_check(
     """Sample convex combinations of P and test the ball-cover inclusion.
 
     Every point of the hull of a vertex set lies in the ball spanned between
-    some vertex and the cube center; a violation (none is expected) is
-    returned as a counterexample.
+    some vertex v and the cube center: center (v + 1/2) / 2, radius
+    sqrt(d) / 4, so v lies on its boundary.  A violation (none is expected)
+    is returned as a counterexample.
     """
     if samples.n == 0:
         raise DomainError("cover check needs a nonempty vertex set")
@@ -409,58 +387,26 @@ def elekes_cover_check(
     return CoverCheck(True, trials)
 
 
-@dataclass(frozen=True)
-class HullGeometry:
-    """Geometry of a hull slice at height t for the closed-form bound.
-
-    The slice apex projects to the point with every coordinate (1+t)/2; the
-    cap containing one vertex's share of the slice is the cube's intersection
-    with the ball of center (s, ..., s) and radius sqrt(d) s, where
-    s = (1+t)/4 (so twice s is exactly (1+t)/2).
-    """
-
-    t: float
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.t <= 1.0):
-            raise DomainError("slice height must be in [0, 1]")
-        if self.dim < 1:
-            raise DomainError("dimension must be positive")
-
-    @property
-    def s(self) -> float:
-        return (1.0 + self.t) / 4.0
-
-    @property
-    def apex(self) -> np.ndarray:
-        top = (1.0 + self.t) / 2.0
-        return np.concatenate((np.full(self.dim, top), [self.t]))
-
-    @property
-    def cap_center(self) -> np.ndarray:
-        return np.full(self.dim, self.s)
-
-    @property
-    def cap_radius(self) -> float:
-        return math.sqrt(self.dim) * self.s
-
-    def cap_contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return ((pts - self.s) ** 2).sum(axis=1) <= self.dim * self.s * self.s
-
-
 def cap_volume_mc(
     t: float, dim: int, num_samples: int, stream: RandomStream
 ) -> McEstimate:
-    """Monte Carlo volume of the cap as a probability over uniform draws."""
+    """Monte Carlo volume of the cap holding one vertex's share of a slice.
+
+    At slice height t the cap is the cube's intersection with the ball of
+    center (s, ..., s) and radius sqrt(d) s, where s = (1+t)/4.
+    """
     if num_samples < 1:
         raise DomainError("need at least one sample")
-    geometry = HullGeometry(t, dim)
+    if not (0.0 <= t <= 1.0):
+        raise DomainError("slice height must be in [0, 1]")
+    if dim < 1:
+        raise DomainError("dimension must be positive")
+    s = (1.0 + t) / 4.0
     hits = np.empty(num_samples)
     done = 0
     for pts in uniform_blocks(stream.substream("cap-volume"), num_samples, dim, block=65536):
-        hits[done : done + pts.shape[0]] = geometry.cap_contains(pts).astype(float)
+        inside = ((pts - s) ** 2).sum(axis=1) <= dim * s * s
+        hits[done : done + pts.shape[0]] = inside.astype(float)
         done += pts.shape[0]
     return _mc_mean(hits)
 

@@ -29,9 +29,6 @@ __all__ = [
     "run_algorithm",
 ]
 
-CLASS_TAGS = ("monotone", "convex", "unrestricted")
-
-
 class DomainError(ValueError):
     """A point, value, or parameter left its allowed domain."""
 
@@ -69,14 +66,10 @@ class EvalOracle:
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    class_tag: str = "unrestricted"
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError("oracle dimension must be positive")
-        if self.class_tag not in CLASS_TAGS:
-            raise DomainError(f"unknown class tag {self.class_tag!r}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) array of points."""

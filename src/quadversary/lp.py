@@ -2,9 +2,9 @@
 
 Problems have the form  max c.v  subject to  A v <= b, v >= 0  with b >= 0,
 so the all-slack basis is feasible from the start and no phase-1 is needed.
-One call solves K programs that share A and c but not b: a (K, m)
-right-hand side gives a solution whose fields carry a leading K axis, and a
-1-D right-hand side is the single program K = 1 with scalar fields.
+One call solves K programs that share A and c but not b: the right-hand
+side is always a (K, m) array, and every field of the solution carries the
+leading K axis.
 
 The K programs pivot in lockstep on stacked (K, m, m) basis inverses.  Each
 step prices every program from its own inverse (x_B = inv(B) b,
@@ -57,8 +57,8 @@ class LPError(RuntimeError):
 class LinearProgram:
     """max objective . v  s.t.  constraints @ v <= rhs,  v >= 0.
 
-    ``rhs`` has shape (m,) for one program or (K, m) for K programs that
-    share the constraints and the objective.
+    ``rhs`` has shape (K, m): one row per program, all sharing the
+    constraints and the objective.
     """
 
     objective: np.ndarray
@@ -69,7 +69,7 @@ class LinearProgram:
         c = np.asarray(self.objective, dtype=float)
         a = np.atleast_2d(np.asarray(self.constraints, dtype=float))
         b = np.asarray(self.rhs, dtype=float)
-        if b.ndim not in (1, 2) or a.shape != (b.shape[-1], c.size):
+        if b.ndim != 2 or a.shape != (b.shape[1], c.size):
             raise LPError(
                 f"inconsistent shapes: A{a.shape}, b{b.shape}, c({c.size},)", None
             )
@@ -77,65 +77,56 @@ class LinearProgram:
         object.__setattr__(self, "constraints", a)
         object.__setattr__(self, "rhs", b)
 
-    @property
-    def num_variables(self) -> int:
-        return self.objective.size
-
-    @property
-    def num_constraints(self) -> int:
-        return self.constraints.shape[0]
-
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal value, primal/dual solutions, and the optimal basis.
+    """Optimal values, primal/dual solutions, and the optimal bases of K programs.
 
-    ``basis_inverse`` is the inverse of the optimal basis matrix, computed
-    from the original columns.  Together with ``duals`` it determines the
-    optimum for any right-hand side that keeps this basis feasible, which
-    the convex adversary exploits to batch its evaluations.
-
-    For a batch of K programs ``value``, ``solution``, ``duals``, ``basis``
-    (an int array) and ``basis_inverse`` gain a leading K axis, and
+    ``value``, ``solution``, ``duals``, ``basis`` (an int array) and
+    ``basis_inverse`` carry a leading K axis, one row per program;
     ``iterations`` is the total number of pivots over the batch.
+    ``basis_inverse`` is the inverse of each optimal basis matrix, computed
+    from the original columns.  Together with ``duals`` it determines the
+    optimum for any right-hand side that keeps that basis feasible, which
+    the convex adversary exploits to batch its evaluations.
     """
 
-    value: float | np.ndarray
+    value: np.ndarray
     solution: np.ndarray
     duals: np.ndarray
-    basis: tuple[int, ...] | np.ndarray
+    basis: np.ndarray
     basis_inverse: np.ndarray
     iterations: int
 
 
 def solve(
     program: LinearProgram,
-    start: Sequence[int] | np.ndarray | None = None,
-    tol: float = FEASIBILITY_TOL,
+    start: Sequence[Sequence[int]] | np.ndarray | None = None,
     max_iterations: int = 10_000,
 ) -> LPSolution:
     """Run the simplex method from ``start`` or, by default, the slack basis.
 
-    ``start`` is the ``basis`` of an earlier solution of a program with the
-    same constraints and objective, one row per program for a batch.  A
+    ``start`` holds one row per program, each the basis of an earlier
+    solution of a program with the same constraints and objective.  A
     program whose start basis matrix is singular starts from the slack basis
-    instead.  ``iterations`` counts the pivots of both phases.
+    instead.  ``iterations`` counts the pivots of both phases.  Feasibility
+    and reduced costs are judged to within :data:`FEASIBILITY_TOL`.
 
     Raises :class:`LPError` for negative right-hand sides (outside this
     solver's scope), a ``start`` that does not fit the program, unbounded or
     infeasible problems, or more than ``max_iterations`` pivots in one
     program.
     """
-    batched = program.rhs.ndim == 2
-    b = np.atleast_2d(program.rhs)
+    tol = FEASIBILITY_TOL
+    b = program.rhs
     k, m = b.shape
-    n = program.num_variables
+    n = program.objective.size
     if b.size and b.min() < -tol:
         raise LPError("negative right-hand side; slack basis infeasible", program)
     b = np.maximum(b, 0.0)
     columns = np.hstack((program.constraints, np.eye(m)))  # [A | I]
     cost = np.concatenate((program.objective, np.zeros(m)))
-    basis, inverse = _start(program, columns, k, start, batched)
+    basis, inverse = _start(program, columns, k, start)
 
     width = n + m  # larger than every column index, so it masks in argmin
     pivots = np.zeros(k, dtype=int)
@@ -221,24 +212,14 @@ def solve(
     solution = np.zeros((k, n + m))
     np.put_along_axis(solution, basis, values, axis=1)
     value = (basic_cost * values).sum(axis=1)
-    if batched:
-        return LPSolution(value, solution[:, :n], duals, basis, inverse, int(pivots.sum()))
-    return LPSolution(
-        value=float(value[0]),
-        solution=solution[0, :n],
-        duals=duals[0],
-        basis=tuple(int(j) for j in basis[0]),
-        basis_inverse=inverse[0],
-        iterations=int(pivots[0]),
-    )
+    return LPSolution(value, solution[:, :n], duals, basis, inverse, int(pivots.sum()))
 
 
 def _start(
     program: LinearProgram,
     columns: np.ndarray,
     k: int,
-    start: Sequence[int] | np.ndarray | None,
-    batched: bool,
+    start: Sequence[Sequence[int]] | np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Starting bases (K, m) and their inverses (K, m, m).
 
@@ -250,8 +231,6 @@ def _start(
     if start is None:
         return np.tile(slack, (k, 1)), np.tile(np.eye(m), (k, 1, 1))
     basis = np.array(start, dtype=int)
-    if not batched:
-        basis = basis[None]
     if basis.shape != (k, m) or basis.min() < 0 or basis.max() >= width:
         raise LPError(f"start basis {start} does not fit {m} rows", program)
     matrices = columns[:, basis].transpose(1, 0, 2)

@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "build_fooling_pair",
     "complexity_lower_bound",
     "error_lower_bound",
-    "simplex_product_max",
-    "threshold_value",
     "threshold_values",
     "union_box_volume",
 ]
@@ -42,13 +39,8 @@ class ConvergenceError(RuntimeError):
     """A numerical routine failed to converge; message carries diagnostics."""
 
 
-def threshold_value(x: Sequence[float] | np.ndarray) -> int:
-    """0/1 step at half the coordinate sum; the boundary maps to 1."""
-    arr = np.asarray(x, dtype=float)
-    return int(arr.sum() >= arr.size / 2.0)
-
-
 def threshold_values(points: np.ndarray) -> np.ndarray:
+    """0/1 step at half the coordinate sum, row by row; the boundary maps to 1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return (pts.sum(axis=1) >= pts.shape[1] / 2.0).astype(int)
 
@@ -196,17 +188,11 @@ class MonotoneFoolingPair:
     def fminus_values(self, points: np.ndarray) -> np.ndarray:
         return np.where(_union_membership(points, self.upper_corners, "upper"), 1.0, 0.0)
 
-    def fplus(self, x: np.ndarray) -> float:
-        return float(self.fplus_values(x)[0])
-
-    def fminus(self, x: np.ndarray) -> float:
-        return float(self.fminus_values(x)[0])
-
     def fplus_oracle(self) -> EvalOracle:
-        return EvalOracle(self.dim, self.fplus_values, "monotone", "fooling-upper")
+        return EvalOracle(self.dim, self.fplus_values)
 
     def fminus_oracle(self) -> EvalOracle:
-        return EvalOracle(self.dim, self.fminus_values, "monotone", "fooling-lower")
+        return EvalOracle(self.dim, self.fminus_values)
 
     def to_json_obj(self) -> dict:
         return {
@@ -240,7 +226,12 @@ def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
 
 
 def error_lower_bound(n: int, dim: int) -> float:
-    """Worst-case error floor max(0, (1 - n 2^-d) / 2) for n queries."""
+    """Worst-case error floor max(0, (1 - n 2^-d) / 2) for n queries.
+
+    Each query spans a box [0, x] with sum(x) <= d/2, or [x, 1], which is
+    such a box after x -> 1 - x.  By AM-GM its volume is at most
+    (sum(x) / d)^d <= 2^-d, with equality at the centre.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
     if dim < 1:
@@ -262,16 +253,3 @@ def complexity_lower_bound(eps: float, dim: int) -> int:
         return 0
     bound = (Fraction(2) ** dim) * (1 - 2 * Fraction(eps))
     return max(0, math.ceil(bound))
-
-
-def simplex_product_max(dim: int) -> float:
-    """Maximum of the coordinate product over the cube cut by sum <= d/2.
-
-    The maximum is exactly 2^-d, attained at the centre.  By the AM-GM
-    inequality, d numbers in [0, 1] whose sum is at most d/2 have a product
-    of at most (sum / d)^d <= (1/2)^d, and the centre (1/2, ..., 1/2) meets
-    the sum constraint with equality and has product (1/2)^d.
-    """
-    if dim < 1:
-        raise DomainError("dimension must be positive")
-    return 2.0**-dim

@@ -6,6 +6,7 @@ test keeps its criterion's function name, prefixed with ``test_``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import quadversary
@@ -32,3 +33,13 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_all_names_resolve():
+    # a deleted symbol must not linger in its module's exports
+    stale = []
+    for path in sorted(Path(quadversary.__file__).parent.glob("*.py")):
+        name = "quadversary" if path.stem == "__init__" else f"quadversary.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not stale, f"names in __all__ that do not resolve: {stale}"

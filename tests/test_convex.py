@@ -25,6 +25,13 @@ def test_value_vanishes_on_samples_and_is_one_without_samples():
     assert convex.maximal_convex_value(np.array([0.2, 0.9, 0.4]), empty) == 1.0
 
 
+def test_single_query_value_rejects_malformed_queries():
+    samples = convex.SampleSet(np.array([[0.25, 0.5, 0.75]]), 3)
+    for x in (0.5, np.full(4, 0.5), np.full((1, 3), 0.5)):
+        with pytest.raises(DomainError):
+            convex.maximal_convex_value(x, samples)
+
+
 def test_value_matches_1d_hull_geometry():
     samples = convex.SampleSet(np.array([[0.25]]), 1)
     assert convex.maximal_convex_value(np.array([0.5]), samples) == pytest.approx(
@@ -230,20 +237,6 @@ def test_vertexize_counts_and_pointwise_decrease():
     assert (after.values(xs) <= before.values(xs) + 1e-9).all()
 
 
-def test_elekes_ball_geometry():
-    center, radius = convex.elekes_ball(np.zeros(4), 4)
-    assert np.allclose(center, 0.25) and radius == math.sqrt(4) / 4.0
-    center, radius = convex.elekes_ball(np.ones(4), 4)
-    assert np.allclose(center, 0.75)
-    for d in (1, 3, 8):
-        v = np.zeros(d)
-        v[:: 2] = 1.0
-        center, radius = convex.elekes_ball(v, d)
-        assert np.linalg.norm(v - center) == pytest.approx(radius, abs=1e-12)
-    with pytest.raises(DomainError):
-        convex.elekes_ball(np.full(3, 0.5), 3)
-
-
 def test_cover_check_passes_on_vertex_sets():
     single = convex.SampleSet(np.array([[1.0, 0.0, 1.0]]), 3)
     assert convex.elekes_cover_check(single, 100, RandomStream(9)).ok
@@ -255,11 +248,18 @@ def test_cover_check_passes_on_vertex_sets():
     assert convex.elekes_cover_check(all32, 10_000, RandomStream(11)).ok
 
 
-def test_hull_geometry_invariants():
-    geometry = convex.HullGeometry(0.3, 6)
-    assert 2.0 * geometry.s == (1.0 + 0.3) / 2.0
-    assert geometry.apex[-1] == 0.3 and geometry.apex[0] == (1.0 + 0.3) / 2.0
-    assert geometry.cap_radius == pytest.approx(math.sqrt(6) * geometry.s)
+def test_cover_check_rejects_non_vertex_and_empty_sets():
+    inner = convex.SampleSet(np.array([[1.0, 0.0, 1.0], [0.5, 0.0, 1.0]]), 3)
+    with pytest.raises(DomainError, match="vertex sets"):
+        convex.elekes_cover_check(inner, 10, RandomStream(9))
+    with pytest.raises(DomainError, match="nonempty"):
+        convex.elekes_cover_check(convex.SampleSet.empty(3), 10, RandomStream(9))
+
+
+def test_cap_volume_rejects_out_of_range_parameters():
+    for t, dim in ((-0.1, 3), (1.5, 3), (0.3, 0)):
+        with pytest.raises(DomainError):
+            convex.cap_volume_mc(t, dim, 100, RandomStream(12))
 
 
 def test_cap_volume_known_cases():

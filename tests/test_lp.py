@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -6,42 +8,56 @@ from quadversary import algorithms, lp
 from quadversary.core import RandomStream, run_algorithm
 
 
+def _solve_one(c, a, b, start=None) -> SimpleNamespace:
+    """Solve one program as a batch of one and return its row."""
+    starts = None if start is None else [start]
+    sol = lp.solve(lp.LinearProgram(c, a, np.asarray(b, dtype=float)[None]), starts)
+    return SimpleNamespace(
+        value=float(sol.value[0]),
+        solution=sol.solution[0],
+        duals=sol.duals[0],
+        basis=tuple(int(j) for j in sol.basis[0]),
+        basis_inverse=sol.basis_inverse[0],
+        iterations=sol.iterations,
+    )
+
+
 def test_known_two_variable_optimum():
     # max x + y  s.t.  x <= 1, y <= 2
-    program = lp.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-    sol = lp.solve(program)
+    sol = _solve_one([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     assert sol.value == pytest.approx(3.0, abs=1e-12)
     assert sol.solution == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 def test_binding_mixture_constraint():
     # max 2x + y  s.t.  x + y <= 1  ->  all mass on x
-    program = lp.LinearProgram([2.0, 1.0], [[1.0, 1.0]], [1.0])
-    sol = lp.solve(program)
+    sol = _solve_one([2.0, 1.0], [[1.0, 1.0]], [1.0])
     assert sol.value == pytest.approx(2.0, abs=1e-12)
     assert sol.solution == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_unbounded_detected():
-    program = lp.LinearProgram([1.0], [[0.0]], [1.0])
     with pytest.raises(lp.LPError):
-        lp.solve(program)
+        _solve_one([1.0], [[0.0]], [1.0])
 
 
 def test_negative_rhs_rejected():
-    program = lp.LinearProgram([1.0], [[1.0]], [-0.5])
     with pytest.raises(lp.LPError):
-        lp.solve(program)
+        _solve_one([1.0], [[1.0]], [-0.5])
+
+
+def test_one_dimensional_rhs_rejected():
+    with pytest.raises(lp.LPError, match="shapes"):
+        lp.solve(lp.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]))
 
 
 def test_degenerate_rhs_zero_terminates():
     # Bland's rule must not cycle on the degenerate vertex.
-    program = lp.LinearProgram(
+    sol = _solve_one(
         [1.0, 1.0, 1.0],
         [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
         [0.0, 0.0, 1.0],
     )
-    sol = lp.solve(program)
     assert sol.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -52,8 +68,7 @@ def test_duals_and_basis_inverse_identities():
         a = rng.random((m, n))
         b = rng.random(m) + 0.1
         c = rng.random(n)
-        program = lp.LinearProgram(c, a, b)
-        sol = lp.solve(program)
+        sol = _solve_one(c, a, b)
         # value equals the dual objective
         assert sol.value == pytest.approx(float(sol.duals @ b), abs=1e-9)
         assert sol.duals.min() >= -1e-9
@@ -75,7 +90,7 @@ def test_matches_reference_solver_on_random_instances():
         # guarantee boundedness with a simplex-style cap
         a = np.vstack([a, np.ones(n)])
         b = np.append(b, 1.0)
-        sol = lp.solve(lp.LinearProgram(c, a, b))
+        sol = _solve_one(c, a, b)
         ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         assert sol.value == pytest.approx(-ref.fun, abs=1e-8)
@@ -84,12 +99,11 @@ def test_matches_reference_solver_on_random_instances():
 def test_beale_cycling_example_ends_at_optimum():
     # Beale's LP, on which Dantzig's rule alone cycles; the switch to
     # Bland's rule after a run of degenerate pivots must end the solve.
-    program = lp.LinearProgram(
+    sol = _solve_one(
         [0.75, -150.0, 0.02, -6.0],
         [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
         [0.0, 0.0, 1.0],
     )
-    sol = lp.solve(program)
     assert sol.value == pytest.approx(0.05, abs=1e-12)
     assert sol.solution == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
@@ -101,11 +115,10 @@ def test_warm_start_from_another_rhs_matches_cold_solve_and_highs():
         n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         a = np.vstack([rng.random((m, n)) * 2.0 - 0.5, np.ones(n)])
         c = rng.random(n) * 2.0 - 0.5
-        first = lp.solve(lp.LinearProgram(c, a, np.append(rng.random(m), 1.0)))
+        first = _solve_one(c, a, np.append(rng.random(m), 1.0))
         b = np.append(rng.random(m), 1.0)
-        program = lp.LinearProgram(c, a, b)
-        warm = lp.solve(program, first.basis)
-        cold = lp.solve(program)
+        warm = _solve_one(c, a, b, first.basis)
+        cold = _solve_one(c, a, b)
         ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
         assert ref.status == 0
         assert warm.value == pytest.approx(cold.value, abs=1e-9)
@@ -121,16 +134,16 @@ def test_warm_start_from_another_rhs_matches_cold_solve_and_highs():
 
 
 def test_singular_start_falls_back_to_slack_start():
-    program = lp.LinearProgram([1.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], [1.0, 2.0])
-    cold = lp.solve(program)
+    c, a, b = [1.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], [1.0, 2.0]
+    cold = _solve_one(c, a, b)
     for start in ((0, 0), (2, 2)):  # repeated columns: B is singular
-        sol = lp.solve(program, start)
+        sol = _solve_one(c, a, b, start)
         assert sol.value == cold.value
         assert sol.basis == cold.basis
         assert sol.iterations == cold.iterations
     for start in ((0,), (0, 4), (-1, 2)):
         with pytest.raises(lp.LPError):
-            lp.solve(program, start)
+            _solve_one(c, a, b, start)
 
 
 def _membership(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +201,7 @@ def test_batch_pivots_each_program_as_a_lone_solve_would():
     sol = lp.solve(lp.LinearProgram(c, a, rhs))
     assert sol.value[0] == pytest.approx(0.05, abs=1e-12)
     assert sol.solution[0] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
-    lone = [lp.solve(lp.LinearProgram(c, a, b)) for b in rhs]
+    lone = [_solve_one(c, a, b) for b in rhs]
     assert sol.iterations == sum(s.iterations for s in lone)
     for j, b in enumerate(rhs):
         ref = linprog(-np.array(c), A_ub=a, b_ub=b, method="highs")

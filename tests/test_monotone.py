@@ -11,11 +11,11 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def test_threshold_step_values():
-    assert monotone.threshold_value(np.zeros(7)) == 0
+    assert monotone.threshold_values(np.zeros((1, 7)))[0] == 0
     for d in (1, 2, 5):
-        assert monotone.threshold_value(np.full(d, 0.5)) == 1  # boundary maps to 1
-    assert monotone.threshold_value(np.ones(3)) == 1
-    assert monotone.threshold_value((0.2, 0.1)) == 0
+        assert monotone.threshold_values(np.full((1, d), 0.5))[0] == 1  # boundary maps to 1
+    assert monotone.threshold_values(np.ones((1, 3)))[0] == 1
+    assert monotone.threshold_values([(0.2, 0.1)])[0] == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -24,7 +24,7 @@ def test_threshold_is_monotone(a, b):
     d = min(len(a), len(b))
     x = np.minimum(a[:d], b[:d])
     y = np.maximum(a[:d], b[:d])
-    assert monotone.threshold_value(x) <= monotone.threshold_value(y)
+    assert monotone.threshold_values([x])[0] <= monotone.threshold_values([y])[0]
 
 
 def test_pair_membership_rules():
@@ -33,11 +33,11 @@ def test_pair_membership_rules():
     assert pair.ell == 0 and pair.n == 1
     pair = monotone.build_fooling_pair(np.array([[0.5, 0.4]]), 2)
     assert pair.ell == 1
-    assert pair.fplus(np.array([0.5, 0.4])) == 0.0  # dominated by the anchor
-    assert pair.fplus(np.array([0.6, 0.3])) == 1.0  # incomparable
+    assert pair.fplus_values(np.array([[0.5, 0.4]]))[0] == 0.0  # dominated by the anchor
+    assert pair.fplus_values(np.array([[0.6, 0.3]]))[0] == 1.0  # incomparable
     pair = monotone.build_fooling_pair(np.array([[0.6, 0.7]]), 2)
-    assert pair.fminus(np.array([0.7, 0.7])) == 1.0
-    assert pair.fminus(np.array([0.7, 0.6])) == 0.0
+    assert pair.fminus_values(np.array([[0.7, 0.7]]))[0] == 1.0
+    assert pair.fminus_values(np.array([[0.7, 0.6]]))[0] == 0.0
 
 
 def test_union_volume_single_boxes():
@@ -225,30 +225,6 @@ def test_complexity_lower_bound_values():
         monotone.complexity_lower_bound(0.0, 3)
 
 
-def _product_max_zoom(d: int, rounds: int = 45, per_axis: int = 5) -> float:
-    """Independent zoom search for the capped-sum product maximum."""
-    half = d / 2.0
-    lo = np.zeros(d)
-    hi = np.ones(d)
-    best_y = np.full(d, 0.25)
-    best = float(np.prod(best_y))
-    for _ in range(rounds):
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(d)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        sums = grid.sum(axis=1)
-        over = sums > half
-        scale = np.where(over, half / np.maximum(sums, 1e-300), 1.0)
-        grid = np.clip(grid * scale[:, None], 0.0, 1.0)
-        vals = np.prod(grid, axis=1)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, best_y = float(vals[k]), grid[k]
-        width = (hi - lo) * 0.55
-        lo = np.clip(best_y - width / 2.0, 0.0, 1.0)
-        hi = np.clip(best_y + width / 2.0, 0.0, 1.0)
-    return best
-
-
 def test_certificate_dominates_closed_form_for_every_algorithm():
     from quadversary import algorithms
     from quadversary.core import run_algorithm
@@ -263,14 +239,3 @@ def test_certificate_dominates_closed_form_for_every_algorithm():
             assert pair.provenance == "exact"
             certificate = pair.gap_low / 2.0
             assert certificate >= monotone.error_lower_bound(pair.n, d) - 1e-12
-
-
-def test_simplex_product_max_small_dims():
-    assert monotone.simplex_product_max(1) == pytest.approx(0.5, abs=1e-12)
-    assert monotone.simplex_product_max(2) == pytest.approx(0.25, abs=1e-10)
-
-
-def test_simplex_product_max_d6_against_zoom_oracle():
-    oracle = _product_max_zoom(6)
-    assert oracle == pytest.approx(2.0**-6, abs=1e-7)
-    assert monotone.simplex_product_max(6) == pytest.approx(2.0**-6, abs=1e-9)

@@ -15,7 +15,7 @@ def orthant_mixture_oracle(anchors: np.ndarray, weights: np.ndarray) -> EvalOrac
         inside = (pts[:, None, :] >= anchors[None, :, :]).all(axis=2)
         return np.clip(inside @ weights, 0.0, 1.0)
 
-    return EvalOracle(dim=dim, fn=batch, class_tag="monotone", name="orthant-mixture")
+    return EvalOracle(dim=dim, fn=batch)
 
 
 def orthant_mixture_integral(anchors: np.ndarray, weights: np.ndarray) -> float:
@@ -34,7 +34,7 @@ def test_staircase_ramp_two_cells():
 
 
 def test_staircase_constant_is_exact():
-    oracle = EvalOracle(dim=2, fn=lambda pts: np.full(pts.shape[0], 0.7), class_tag="monotone")
+    oracle = EvalOracle(dim=2, fn=lambda pts: np.full(pts.shape[0], 0.7))
     bracket = quadrature.staircase_monotone(oracle, 3)
     assert bracket.lower_sum == bracket.upper_sum == 0.7
     assert bracket.certified_error == 0.0
