@@ -9,7 +9,8 @@ Subcommands
     t0         compute the certified height threshold and accuracy cutoff
     quad       run baseline quadrature on built-in integrands
     verify     run the acceptance criteria (quadversary.acceptance), the same
-               checks as the pytest acceptance suite; takes about a minute
+               checks as the pytest acceptance suite; takes about 17 s on
+               2 vCPUs
 
 Reports are CSV ('.' decimal, LF endings, header row, deterministic row
 order) or JSON; every run also writes a manifest with the full configuration,
@@ -28,7 +29,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, algorithms, convex, monotone, quadrature
 from .core import DomainError, RandomStream, run_algorithm
@@ -87,7 +87,6 @@ def _write_manifest(path: Path, command: str, config: dict) -> None:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "quadversary": __version__,
         },
     }

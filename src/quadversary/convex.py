@@ -12,8 +12,8 @@ the dual vertices y, so :class:`MaximalConvexEvaluator` caches optimal
 bases.  It resolves each block of queries by an envelope sweep, one product
 of the cached duals against the block, testing primal feasibility only
 where a basis is within 1e-9 of a query's minimum.  The queries no cached
-basis covers are solved in rounds by one batched, warm-started ``lp.solve``
-each, whose new bases join the cache.
+basis covers are solved in rounds by one batched ``lp.solve`` each, from the
+slack basis, and the new optimal bases join the cache.
 
 The closed-form side bounds the hull volume from above: every point of P is a
 convex combination of at most d+1 cube vertices, each vertex's share of a low
@@ -134,21 +134,19 @@ class MaximalConvexEvaluator:
     optimum, tight exactly when the basis attaining it is feasible) and
     tests feasibility only on bases within ``_NEAR_MIN`` of it.  The first
     queries left unresolved are then solved together by one batched
-    ``lp.solve``, each warm from the cached basis attaining its minimum; the
-    new optimal bases join the cache and the next sweep.  A round holds
-    twice as many queries as the previous round found new bases, so solves
-    stay few while the cache still misses often and one at a time once it
-    covers nearly everything.
+    ``lp.solve`` from the slack basis; the new optimal bases join the cache
+    and the next sweep.  A round holds twice as many queries as the previous
+    round found new bases, so solves stay few while the cache still misses
+    often and one at a time once it covers nearly everything.
     """
 
     def __init__(self, samples: SampleSet):
         self.samples = samples
         self._constraints, self._objective = _membership_program(samples)
         m = self._constraints.shape[0]
-        # Cached bases, their duals and inverses, in buffers that double
+        # Duals and inverses of the cached bases, in buffers that double
         # when full; ``_rows`` maps a basis to its row.
         self._rows: dict[tuple[int, ...], int] = {}
-        self._bases = np.empty((16, m), dtype=int)
         self._duals = np.empty((16, m))
         self._inverses = np.empty((16, m, m))
 
@@ -160,22 +158,21 @@ class MaximalConvexEvaluator:
                 self._rows[key] = len(self._rows)
                 fresh.append(j)
         end = len(self._rows)
-        if end > self._bases.shape[0]:
-            size = max(end, 2 * self._bases.shape[0])
-            for name in ("_bases", "_duals", "_inverses"):
+        if end > self._duals.shape[0]:
+            size = max(end, 2 * self._duals.shape[0])
+            for name in ("_duals", "_inverses"):
                 old = getattr(self, name)
                 grown = np.empty((size,) + old.shape[1:], dtype=old.dtype)
                 grown[: old.shape[0]] = old
                 setattr(self, name, grown)
         rows = slice(end - len(fresh), end)
-        self._bases[rows] = solution.basis[fresh]
         self._duals[rows] = solution.duals[fresh]
         self._inverses[rows] = solution.basis_inverse[fresh]
         return len(fresh)
 
     def values(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) batch of query points."""
-        pts = as_points(np.atleast_2d(queries), self.samples.dim)
+        pts = as_points(queries, self.samples.dim)
         n_q = pts.shape[0]
         if self.samples.n == 0:
             return np.ones(n_q)  # no mass at height 0: the hull is the top face
@@ -191,20 +188,16 @@ class MaximalConvexEvaluator:
         n_q = rhs.shape[1]
         unresolved = np.ones(n_q, dtype=bool)
         low = np.full(n_q, np.inf)  # running minimum of y.rhs over the cache
-        start = np.zeros(n_q, dtype=int)  # the cache row attaining it
-        self._sweep(0, len(self._rows), rhs, best, unresolved, low, start)
+        self._sweep(0, len(self._rows), rhs, best, unresolved, low)
         while unresolved.any():
             todo = np.flatnonzero(unresolved)[:batch]
             program = lp.LinearProgram(self._objective, self._constraints, rhs[:, todo].T)
-            if self._rows:
-                solution = lp.solve(program, self._bases[start[todo]])
-            else:
-                solution = lp.solve(program)
+            solution = lp.solve(program)
             best[todo] = solution.value
             unresolved[todo] = False
             first = len(self._rows)
             batch = max(1, 2 * self._cache(solution))
-            self._sweep(first, len(self._rows), rhs, best, unresolved, low, start)
+            self._sweep(first, len(self._rows), rhs, best, unresolved, low)
         return batch
 
     def _sweep(
@@ -215,7 +208,6 @@ class MaximalConvexEvaluator:
         best: np.ndarray,
         unresolved: np.ndarray,
         low: np.ndarray,
-        start: np.ndarray,
     ) -> None:
         """Resolve what cache rows ``first:end`` can and update the minima."""
         for lo in range(first, end, _SWEEP_BASES):
@@ -224,11 +216,7 @@ class MaximalConvexEvaluator:
                 return
             cols = rhs[:, idx]
             objective = self._duals[lo : min(end, lo + _SWEEP_BASES)] @ cols
-            arg = objective.argmin(axis=0)
-            mins = objective[arg, np.arange(idx.size)]
-            lower = mins < low[idx]
-            low[idx[lower]] = mins[lower]
-            start[idx[lower]] = lo + arg[lower]
+            low[idx] = np.minimum(low[idx], objective.min(axis=0))
             # Feasibility is tested only on (basis, query) pairs near the
             # minimum, grouped by basis in cache order, so a query resolves
             # at the first cached basis that covers it.
@@ -273,9 +261,9 @@ def maximal_convex_integral(
 ) -> McEstimate:
     """Monte Carlo integral of the maximal vanishing convex function.
 
-    One minus the returned mean estimates the hull volume.  Points are drawn
-    in fixed-order labeled blocks, so the estimate does not depend on how the
-    evaluation might be partitioned across workers.
+    One minus the returned mean estimates the hull volume.  Points come from
+    the ``hull-integral`` substream in labeled blocks, so the estimate depends
+    only on ``stream`` and ``num_points``.
     """
     if num_points < 1:
         raise DomainError("need at least one sample point")

@@ -6,24 +6,18 @@ One call solves K programs that share A and c but not b: the right-hand
 side is always a (K, m) array, and every field of the solution carries the
 leading K axis.
 
-The K programs pivot in lockstep on stacked (K, m, m) basis inverses.  Each
-step prices every program from its own inverse (x_B = inv(B) b,
-y = c_B inv(B), reduced costs y [A | I] - c), picks each program's pivot by
-that program's own rules, and updates the inverses of all pivoting programs
-by one batched elementary row operation.  A program leaves the stack when it
-is optimal.
+The K programs start from the slack basis and pivot in lockstep on stacked
+(K, m, m) basis inverses.  Each step prices every program from its own
+inverse (x_B = inv(B) b, y = c_B inv(B), reduced costs y [A | I] - c), picks
+each program's pivot by that program's own rules, and updates the inverses
+of all pivoting programs by one batched elementary row operation.  A program
+leaves the stack when it is optimal.  On exit every inverse is recomputed
+from the original columns with one batched inversion, so the pivots' rounding
+does not reach the returned inverses.
 
-A solve may start from the bases of earlier solves with the same A and c.
-Such a basis was optimal for some right-hand side, so its reduced costs stay
-nonnegative for every b: dual-simplex pivots restore primal feasibility,
-then the primal loop finishes.  Start inverses are computed from the
-original columns, and on exit every inverse is recomputed from them with
-one batched inversion, so rounding cannot build up along chains of warm
-starts.
-
-Both phases price by Dantzig's rule (most negative reduced cost, most
-infeasible row; ties to the lowest index).  The dual ratio test breaks ties
-by the largest pivot element, the primal one by the lowest basic index.
+Pricing follows Dantzig's rule (most negative reduced cost, ties to the
+lowest index).  The ratio test breaks ties by the lowest basic index and
+reads max(x_B, 0), so rounding below zero never gives a negative step.
 Dantzig's rule can cycle on degenerate vertices, so after more than m
 consecutive pivots that leave a program's objective unchanged that program
 switches to Bland's rule, which cannot cycle, until it ends.
@@ -35,7 +29,6 @@ thing that is exactly reproducible and has no external dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -99,23 +92,15 @@ class LPSolution:
     iterations: int
 
 
-def solve(
-    program: LinearProgram,
-    start: Sequence[Sequence[int]] | np.ndarray | None = None,
-    max_iterations: int = 10_000,
-) -> LPSolution:
-    """Run the simplex method from ``start`` or, by default, the slack basis.
+def solve(program: LinearProgram, max_iterations: int = 10_000) -> LPSolution:
+    """Run the primal simplex method from the slack basis.
 
-    ``start`` holds one row per program, each the basis of an earlier
-    solution of a program with the same constraints and objective.  A
-    program whose start basis matrix is singular starts from the slack basis
-    instead.  ``iterations`` counts the pivots of both phases.  Feasibility
-    and reduced costs are judged to within :data:`FEASIBILITY_TOL`.
+    ``iterations`` counts the pivots.  Feasibility and reduced costs are
+    judged to within :data:`FEASIBILITY_TOL`.
 
     Raises :class:`LPError` for negative right-hand sides (outside this
-    solver's scope), a ``start`` that does not fit the program, unbounded or
-    infeasible problems, or more than ``max_iterations`` pivots in one
-    program.
+    solver's scope), unbounded problems, or more than ``max_iterations``
+    pivots in one program.
     """
     tol = FEASIBILITY_TOL
     b = program.rhs
@@ -126,21 +111,19 @@ def solve(
     b = np.maximum(b, 0.0)
     columns = np.hstack((program.constraints, np.eye(m)))  # [A | I]
     cost = np.concatenate((program.objective, np.zeros(m)))
-    basis, inverse = _start(program, columns, k, start)
+    basis = np.tile(np.arange(n, n + m), (k, 1))
 
     width = n + m  # larger than every column index, so it masks in argmin
     pivots = np.zeros(k, dtype=int)
     # The working set: programs still pivoting, their inverses, bases and
     # right-hand sides, consecutive pivots at an unchanged objective, and
     # whether they have switched to Bland's rule.
-    ids, inv, bas, rhs = np.arange(k), inverse, basis.copy(), b
+    ids, inv, bas, rhs = np.arange(k), np.tile(np.eye(m), (k, 1, 1)), basis.copy(), b
     count, stalled, bland = np.zeros(k, dtype=int), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
     while True:
         values = np.matmul(inv, rhs[..., None])[..., 0]
         reduced = np.matmul(cost[bas][:, None, :], inv)[:, 0] @ columns - cost
-        dual = (values < -tol).any(axis=1)
-        primal = ~dual & (reduced < -tol).any(axis=1)
-        moving = dual | primal
+        moving = (reduced < -tol).any(axis=1)
         if not moving.all():
             done = ids[~moving]
             basis[done], pivots[done] = bas[~moving], count[~moving]
@@ -150,59 +133,28 @@ def solve(
             ids, inv, bas, rhs, count, stalled, bland = (
                 x[keep] for x in (ids, inv, bas, rhs, count, stalled, bland)
             )
-            values, reduced, dual, primal = values[keep], reduced[keep], dual[keep], primal[keep]
-        leaving = np.zeros(ids.size, dtype=int)
-        entering = np.zeros(ids.size, dtype=int)
-        degenerate = np.zeros(ids.size, dtype=bool)
+            values, reduced = values[keep], reduced[keep]
 
-        rows = np.flatnonzero(dual)
-        if rows.size:
-            # Dual simplex: the most infeasible row leaves, and the ratio
-            # test keeps every reduced cost nonnegative.
-            vals, rule = values[rows], bland[rows]
-            out = np.where(
-                rule, np.where(vals < -tol, bas[rows], width).argmin(axis=1), vals.argmin(axis=1)
-            )
-            row = inv[rows, out] @ columns
-            blocking = row < -tol
-            if not blocking.any(axis=1).all():
-                raise LPError("constraints infeasible", program)
-            ratios = np.full(row.shape, np.inf)
-            np.divide(np.maximum(reduced[rows], 0.0), -row, out=ratios, where=blocking)
-            ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE
-            # A basis that is dual degenerate ties many columns at ratio 0;
-            # taking the lowest index there wanders through dozens of bases,
-            # the largest pivot element rarely needs more than a few.
-            into = np.where(rule, ties.argmax(axis=1), np.where(ties, row, np.inf).argmin(axis=1))
-            leaving[rows], entering[rows] = out, into
-            degenerate[rows] = reduced[rows, into] <= tol
-
-        rows = np.flatnonzero(primal)
-        if rows.size:
-            red = reduced[rows]
-            into = np.where(bland[rows], (red < -tol).argmax(axis=1), red.argmin(axis=1))
-            column = np.matmul(inv[rows], columns[:, into].T[..., None])[..., 0]
-            blocking = column > tol
-            if not blocking.any(axis=1).all():
-                raise LPError("objective unbounded above", program)
-            ratios = np.full(column.shape, np.inf)
-            np.divide(values[rows], column, out=ratios, where=blocking)
-            ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE
-            out = np.where(ties, bas[rows], width).argmin(axis=1)
-            leaving[rows], entering[rows] = out, into
-            degenerate[rows] = values[rows, out] <= tol
+        into = np.where(bland, (reduced < -tol).argmax(axis=1), reduced.argmin(axis=1))
+        column = np.matmul(inv, columns[:, into].T[..., None])[..., 0]
+        blocking = column > tol
+        if not blocking.any(axis=1).all():
+            raise LPError("objective unbounded above", program)
+        ratios = np.full(column.shape, np.inf)
+        np.divide(np.maximum(values, 0.0), column, out=ratios, where=blocking)
+        ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE
+        out = np.where(ties, bas, width).argmin(axis=1)
 
         # Pivot: inv(B) gets one elementary row operation per program.
         at = np.arange(ids.size)
-        column = np.matmul(inv, columns[:, entering].T[..., None])[..., 0]
-        pivot_row = inv[at, leaving] / column[at, leaving, None]
+        pivot_row = inv[at, out] / column[at, out, None]
         inv = inv - column[:, :, None] * pivot_row[:, None, :]
-        inv[at, leaving] = pivot_row
-        bas[at, leaving] = entering
+        inv[at, out] = pivot_row
+        bas[at, out] = into
         count += 1
         if count.max() > max_iterations:
             raise LPError(f"no optimum after {max_iterations} pivots", program)
-        stalled = np.where(degenerate, stalled + 1, 0)
+        stalled = np.where(values[at, out] <= tol, stalled + 1, 0)
         bland |= stalled > m
 
     inverse = np.linalg.inv(columns[:, basis].transpose(1, 0, 2))
@@ -213,35 +165,3 @@ def solve(
     np.put_along_axis(solution, basis, values, axis=1)
     value = (basic_cost * values).sum(axis=1)
     return LPSolution(value, solution[:, :n], duals, basis, inverse, int(pivots.sum()))
-
-
-def _start(
-    program: LinearProgram,
-    columns: np.ndarray,
-    k: int,
-    start: Sequence[Sequence[int]] | np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Starting bases (K, m) and their inverses (K, m, m).
-
-    Without ``start`` every program starts from the slack basis.  A start
-    whose basis matrix is singular is replaced by the slack basis.
-    """
-    m, width = columns.shape
-    slack = np.arange(width - m, width)
-    if start is None:
-        return np.tile(slack, (k, 1)), np.tile(np.eye(m), (k, 1, 1))
-    basis = np.array(start, dtype=int)
-    if basis.shape != (k, m) or basis.min() < 0 or basis.max() >= width:
-        raise LPError(f"start basis {start} does not fit {m} rows", program)
-    matrices = columns[:, basis].transpose(1, 0, 2)
-    try:
-        return basis, np.linalg.inv(matrices)
-    except np.linalg.LinAlgError:
-        pass
-    inverse = np.empty_like(matrices)
-    for j, matrix in enumerate(matrices):
-        try:
-            inverse[j] = np.linalg.inv(matrix)
-        except np.linalg.LinAlgError:
-            basis[j], inverse[j] = slack, np.eye(m)
-    return basis, inverse

@@ -132,7 +132,7 @@ def _bracket(boxes: np.ndarray) -> UnionVolume:
 
 
 def _union_membership(points: np.ndarray, corners: np.ndarray, mode: str) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+    pts = points[:, None, :]
     inside = pts <= corners[None, :, :] if mode == "lower" else pts >= corners[None, :, :]
     return inside.all(axis=2).any(axis=1)
 
@@ -183,10 +183,12 @@ class MonotoneFoolingPair:
         return self.lower_corners.shape[0] + self.upper_corners.shape[0]
 
     def fplus_values(self, points: np.ndarray) -> np.ndarray:
-        return np.where(_union_membership(points, self.lower_corners, "lower"), 0.0, 1.0)
+        pts = as_points(points, self.dim)
+        return np.where(_union_membership(pts, self.lower_corners, "lower"), 0.0, 1.0)
 
     def fminus_values(self, points: np.ndarray) -> np.ndarray:
-        return np.where(_union_membership(points, self.upper_corners, "upper"), 1.0, 0.0)
+        pts = as_points(points, self.dim)
+        return np.where(_union_membership(pts, self.upper_corners, "upper"), 1.0, 0.0)
 
     def fplus_oracle(self) -> EvalOracle:
         return EvalOracle(self.dim, self.fplus_values)

@@ -39,6 +39,17 @@ def test_value_matches_1d_hull_geometry():
     )
 
 
+def test_1d_queries_follow_the_one_point_shape_rule():
+    # At d=1 a flat array is neither N queries nor one: only (N, 1) is a batch.
+    pts, xs = np.array([0.25, 0.75]), np.array([0.1, 0.5, 0.9])
+    evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(pts[:, None], 1))
+    with pytest.raises(DomainError):
+        evaluator.values(xs)
+    with pytest.raises(DomainError):
+        convex.maximal_convex_value(0.5, evaluator.samples)
+    assert np.abs(evaluator.values(xs[:, None]) - maximal_convex_1d(xs, pts)).max() <= 1e-9
+
+
 def test_values_match_1d_oracle_for_many_sample_sets():
     gen = RandomStream(2).substream("oracle-1d").generator()
     xs = gen.random(1000)
@@ -71,6 +82,20 @@ def _scan_samples(algorithm_id: str, dim: int, budget: int) -> convex.SampleSet:
     return convex.SampleSet(transcript.points, dim)
 
 
+def _counting_solves(monkeypatch) -> list[int]:
+    """Record the pivots of every ``lp.solve`` call from here on."""
+    pivots = []
+    solve = lp.solve
+
+    def counting_solve(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        pivots.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    return pivots
+
+
 def _highs_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
     """The maximal vanishing convex function by HiGHS, one LP per query."""
     a = np.vstack([np.ones(samples.n), samples.points.T, 1.0 - samples.points.T])
@@ -86,13 +111,23 @@ def _highs_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize(
     "algorithm_id,dim,budget", [("grid-scan", 2, 1000), ("vertex-scan", 8, 8)]
 )
-def test_evaluator_matches_highs_on_degenerate_sample_sets(algorithm_id, dim, budget):
+def test_evaluator_matches_highs_on_degenerate_sample_sets(
+    algorithm_id, dim, budget, monkeypatch
+):
     # Collinear grid points and the vertices of a cube face make many
-    # optimal bases degenerate, which is where warm starts can go wrong.
+    # optimal bases degenerate: ties in the ratio test, and cached bases
+    # whose feasibility test sits on the tolerance.
     samples = _scan_samples(algorithm_id, dim, budget)
     xs = RandomStream(31).substream(algorithm_id).generator().random((150, dim))
-    got = convex.MaximalConvexEvaluator(samples).values(xs)
-    assert np.abs(got - _highs_values(samples, xs)).max() <= 1e-9
+    evaluator = convex.MaximalConvexEvaluator(samples)
+    highs = _highs_values(samples, xs)
+    solves = _counting_solves(monkeypatch)
+    assert np.abs(evaluator.values(xs) - highs).max() <= 1e-9
+    assert solves
+    # A repeat needs no solve: the basis solved for a query covers it.
+    solves.clear()
+    assert np.abs(evaluator.values(xs) - highs).max() <= 1e-9
+    assert solves == []
 
 
 def _qhull_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
@@ -125,19 +160,11 @@ def test_evaluator_matches_qhull_lower_envelope(dim, n, queries):
 
 
 def test_warm_started_solves_stay_few_pivots(monkeypatch):
-    # These 100 queries on the 1000-point d=2 grid take 20 pivots.  They took
-    # 28,811 when every solve started cold from the slack basis by Bland's
-    # rule, and 613 when the dual ratio test broke ties by lowest index.
+    # These 100 queries on the 1000-point d=2 grid take 37 pivots in 6 solves,
+    # each from the slack basis by Dantzig's rule; the basis cache resolves
+    # the other queries.  Bland's rule alone took 28,811.
     samples = _scan_samples("grid-scan", 2, 1000)
-    pivots = []
-    solve = lp.solve
-
-    def counting_solve(*args, **kwargs):
-        solution = solve(*args, **kwargs)
-        pivots.append(solution.iterations)
-        return solution
-
-    monkeypatch.setattr(lp, "solve", counting_solve)
+    pivots = _counting_solves(monkeypatch)
     xs = RandomStream(32).substream("pivot-guard").generator().random((100, 2))
     convex.MaximalConvexEvaluator(samples).values(xs)
     assert 0 < sum(pivots) <= 200

@@ -8,10 +8,9 @@ from quadversary import algorithms, lp
 from quadversary.core import RandomStream, run_algorithm
 
 
-def _solve_one(c, a, b, start=None) -> SimpleNamespace:
+def _solve_one(c, a, b) -> SimpleNamespace:
     """Solve one program as a batch of one and return its row."""
-    starts = None if start is None else [start]
-    sol = lp.solve(lp.LinearProgram(c, a, np.asarray(b, dtype=float)[None]), starts)
+    sol = lp.solve(lp.LinearProgram(c, a, np.asarray(b, dtype=float)[None]))
     return SimpleNamespace(
         value=float(sol.value[0]),
         solution=sol.solution[0],
@@ -108,44 +107,6 @@ def test_beale_cycling_example_ends_at_optimum():
     assert sol.solution == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
 
-def test_warm_start_from_another_rhs_matches_cold_solve_and_highs():
-    rng = np.random.default_rng(17)
-    warm_pivots = cold_pivots = 0
-    for _ in range(40):
-        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        a = np.vstack([rng.random((m, n)) * 2.0 - 0.5, np.ones(n)])
-        c = rng.random(n) * 2.0 - 0.5
-        first = _solve_one(c, a, np.append(rng.random(m), 1.0))
-        b = np.append(rng.random(m), 1.0)
-        warm = _solve_one(c, a, b, first.basis)
-        cold = _solve_one(c, a, b)
-        ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
-        assert ref.status == 0
-        assert warm.value == pytest.approx(cold.value, abs=1e-9)
-        assert warm.value == pytest.approx(-ref.fun, abs=1e-9)
-        assert warm.value == pytest.approx(float(warm.duals @ b), abs=1e-9)
-        columns = np.hstack([a, np.eye(m + 1)])[:, list(warm.basis)]
-        assert np.allclose(warm.basis_inverse @ columns, np.eye(m + 1), atol=1e-9)
-        assert (a @ warm.solution <= b + 1e-9).all()
-        assert warm.solution.min() >= -1e-12
-        warm_pivots += warm.iterations
-        cold_pivots += cold.iterations
-    assert warm_pivots < cold_pivots
-
-
-def test_singular_start_falls_back_to_slack_start():
-    c, a, b = [1.0, 2.0], [[1.0, 1.0], [1.0, 3.0]], [1.0, 2.0]
-    cold = _solve_one(c, a, b)
-    for start in ((0, 0), (2, 2)):  # repeated columns: B is singular
-        sol = _solve_one(c, a, b, start)
-        assert sol.value == cold.value
-        assert sol.basis == cold.basis
-        assert sol.iterations == cold.iterations
-    for start in ((0,), (0, 4), (-1, 2)):
-        with pytest.raises(lp.LPError):
-            _solve_one(c, a, b, start)
-
-
 def _membership(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Constraints and objective of the convex adversary's hull LP."""
     return np.vstack([np.ones(len(points)), points.T, 1.0 - points.T]), np.ones(len(points))
@@ -159,13 +120,13 @@ def _query_rhs(xs: np.ndarray) -> np.ndarray:
     "algorithm_id,dim,budget",
     [("grid-scan", 2, 1000), ("vertex-scan", 8, 8), ("uniform-random", 6, 30)],
 )
-def test_batch_of_cold_and_warm_starts_matches_highs(algorithm_id, dim, budget):
+def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
     # Collinear grid points and the vertices of a cube face are degenerate;
     # queries at sample points and at cube corners add degenerate programs.
     alg = algorithms.make_algorithm(algorithm_id, dim, budget, RandomStream(0))
     points = run_algorithm(alg, algorithms.zero_oracle(dim), budget)[0].points
     a, c = _membership(points)
-    m, n = a.shape
+    m = a.shape[0]
     gen = RandomStream(41).substream(algorithm_id).generator()
     xs = np.vstack([gen.random((24, dim)), points[:4], gen.integers(0, 2, (4, dim))])
     rhs = _query_rhs(xs)
@@ -174,12 +135,7 @@ def test_batch_of_cold_and_warm_starts_matches_highs(algorithm_id, dim, budget):
         ref = linprog(-c, A_ub=a, b_ub=b, method="highs")
         assert ref.status == 0
         refs.append(-ref.fun)
-    # Every third program starts cold from the slack basis, the others warm
-    # from the optimal basis of another query.
-    earlier = lp.solve(lp.LinearProgram(c, a, _query_rhs(gen.random(xs.shape))))
-    cold = (np.arange(len(xs)) % 3 == 0)[:, None]
-    start = np.where(cold, np.arange(n, n + m), earlier.basis)
-    sol = lp.solve(lp.LinearProgram(c, a, rhs), start)
+    sol = lp.solve(lp.LinearProgram(c, a, rhs))
     assert sol.value.shape == (len(xs),) and sol.basis.shape == (len(xs), m)
     for j, b in enumerate(rhs):
         y = sol.duals[j]
@@ -219,7 +175,3 @@ def test_one_bad_program_fails_the_whole_batch():
         lp.solve(lp.LinearProgram(c, a, [[1.0, 2.0], [0.5, -0.5], [2.0, 1.0]]))
     with pytest.raises(lp.LPError, match="unbounded"):
         lp.solve(lp.LinearProgram([1.0, 1.0], [[0.0, 1.0]], [[1.0], [2.0]]))
-    batch = lp.LinearProgram(c, a, [[1.0, 2.0], [2.0, 1.0]])
-    for start in ([0, 1], [[0, 1]], [[0, 1], [0, 4]]):
-        with pytest.raises(lp.LPError):
-            lp.solve(batch, start)

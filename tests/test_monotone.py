@@ -40,6 +40,16 @@ def test_pair_membership_rules():
     assert pair.fminus_values(np.array([[0.7, 0.6]]))[0] == 0.0
 
 
+def test_pair_values_validate_points_like_every_other_point_input():
+    # A lone point, a NaN point and a point of the wrong length are all
+    # rejected by the one point validator, not read as a batch of one.
+    pair = monotone.build_fooling_pair(np.array([[0.5, 0.4], [0.6, 0.7]]), 2)
+    for values in (pair.fplus_values, pair.fminus_values):
+        for bad in (np.array([2.0, 2.0]), np.array([[np.nan, 0.5]]), np.array([[0.5, 0.5, 0.5]])):
+            with pytest.raises(DomainError):
+                values(bad)
+
+
 def test_union_volume_single_boxes():
     for d in range(1, 11):
         v = monotone.union_box_volume(np.full((1, d), 0.5), "lower")
