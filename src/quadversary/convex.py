@@ -137,7 +137,9 @@ class MaximalConvexEvaluator:
     ``lp.solve`` from the slack basis; the new optimal bases join the cache
     and the next sweep.  A round holds twice as many queries as the previous
     round found new bases, so solves stay few while the cache still misses
-    often and one at a time once it covers nearly everything.
+    often and one at a time once it covers nearly everything.  The round
+    size carries over from call to call, so feeding whole query blocks one
+    call at a time gives bitwise what one call on all of them gives.
     """
 
     def __init__(self, samples: SampleSet):
@@ -149,6 +151,7 @@ class MaximalConvexEvaluator:
         self._rows: dict[tuple[int, ...], int] = {}
         self._duals = np.empty((16, m))
         self._inverses = np.empty((16, m, m))
+        self._batch = 1  # queries in the next batched solve
 
     def _cache(self, solution: lp.LPSolution) -> int:
         """Append the bases of a batched solution not cached yet; count them."""
@@ -177,28 +180,26 @@ class MaximalConvexEvaluator:
         if self.samples.n == 0:
             return np.ones(n_q)  # no mass at height 0: the hull is the top face
         best = np.empty(n_q)
-        batch = 1
         for lo in range(0, n_q, _QUERY_BLOCK):
             hi = min(n_q, lo + _QUERY_BLOCK)
-            batch = self._resolve(_query_rhs(pts[lo:hi]), best[lo:hi], batch)
+            self._resolve(_query_rhs(pts[lo:hi]), best[lo:hi])
         return np.clip(1.0 - best, 0.0, 1.0)
 
-    def _resolve(self, rhs: np.ndarray, best: np.ndarray, batch: int) -> int:
-        """Fill ``best`` with the LP optima of one block; return the next batch."""
+    def _resolve(self, rhs: np.ndarray, best: np.ndarray) -> None:
+        """Fill ``best`` with the LP optima of one block."""
         n_q = rhs.shape[1]
         unresolved = np.ones(n_q, dtype=bool)
         low = np.full(n_q, np.inf)  # running minimum of y.rhs over the cache
         self._sweep(0, len(self._rows), rhs, best, unresolved, low)
         while unresolved.any():
-            todo = np.flatnonzero(unresolved)[:batch]
+            todo = np.flatnonzero(unresolved)[: self._batch]
             program = lp.LinearProgram(self._objective, self._constraints, rhs[:, todo].T)
             solution = lp.solve(program)
             best[todo] = solution.value
             unresolved[todo] = False
             first = len(self._rows)
-            batch = max(1, 2 * self._cache(solution))
+            self._batch = max(1, 2 * self._cache(solution))
             self._sweep(first, len(self._rows), rhs, best, unresolved, low)
-        return batch
 
     def _sweep(
         self,
@@ -263,13 +264,17 @@ def maximal_convex_integral(
 
     One minus the returned mean estimates the hull volume.  Points come from
     the ``hull-integral`` substream in labeled blocks, so the estimate depends
-    only on ``stream`` and ``num_points``.
+    only on ``stream`` and ``num_points``.  Each block is evaluated as it is
+    drawn, so memory holds the N values and one block of points.
     """
     if num_points < 1:
         raise DomainError("need at least one sample point")
     evaluator = MaximalConvexEvaluator(samples)
-    chunks = list(uniform_blocks(stream.substream("hull-integral"), num_points, samples.dim))
-    values = evaluator.values(np.concatenate(chunks, axis=0))
+    values = np.empty(num_points)
+    done = 0
+    for pts in uniform_blocks(stream.substream("hull-integral"), num_points, samples.dim):
+        values[done : done + pts.shape[0]] = evaluator.values(pts)
+        done += pts.shape[0]
     return _mc_mean(values)
 
 

@@ -7,12 +7,19 @@ n = (m+1)^d function values.  Classical Monte Carlo carries the constant-free
 n^(-1/2) root-mean-square guarantee for [0,1]-valued integrands.  Piecewise
 constant approximation and its integral adapter demonstrate that integrating
 an approximant can never beat the approximation error.
+
+Full grids are never held as one array: :func:`_grid_slabs` walks them in
+slabs of at most ``_SLAB_NODES`` nodes, so the grid rules need O(slab * d)
+memory whatever the node count, apart from the m^d cell values that
+:func:`pc_approximate` returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -47,9 +54,33 @@ class BracketEstimate:
     monotone_ok: bool
 
 
+# Largest slab of a grid walk, in nodes; a slab spans at least one axis.
+_SLAB_NODES = 65536
+
+
 def _full_grid(nodes: np.ndarray, dim: int) -> np.ndarray:
     mesh = np.meshgrid(*([nodes] * dim), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, dim)
+
+
+def _grid_slabs(nodes: np.ndarray, dim: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Walk the full grid ``nodes``^dim in row-major order, one slab at a time.
+
+    A slab fixes the indices of the leading dim - t axes (the prefix) and
+    spans the trailing t axes, t >= 1 the most with k^t <= ``_SLAB_NODES``
+    for k nodes per axis.  Yields the prefix and the slab's (k^t, dim)
+    points, in one buffer that the next slab overwrites.
+    """
+    k = nodes.size
+    t = 1
+    while t < dim and k ** (t + 1) <= _SLAB_NODES:
+        t += 1
+    lead = dim - t
+    slab = np.empty((k**t, dim))
+    slab[:, lead:] = _full_grid(nodes, t)
+    for prefix in itertools.product(range(k), repeat=lead):
+        slab[:, :lead] = nodes[list(prefix)]
+        yield prefix, slab
 
 
 def _sampled_monotone_ok(oracle: EvalOracle, stream: RandomStream, pairs: int = 100) -> bool:
@@ -69,18 +100,26 @@ def staircase_monotone(
     """Bracket a monotone integral between lower- and upper-corner averages.
 
     Both averages reuse one (m+1)^d node grid, which halves the evaluations
-    compared to two separate grids and keeps the bracket exact.  The reported
-    certificate is the tighter of the realized half-width (U - L) / 2 and the
-    telescoping cap d / (2 m).
+    compared to two separate grids and keeps the bracket exact.  The grid is
+    evaluated slab by slab, so memory is O(slab * d) for any m and d; the
+    slab sums are added by ``math.fsum``.  The reported certificate is the
+    tighter of the realized half-width (U - L) / 2 and the telescoping cap
+    d / (2 m).
     """
     m = cells_per_axis
     if m < 1:
         raise DomainError("need at least one cell per axis")
     d = oracle.dim
-    nodes = np.linspace(0.0, 1.0, m + 1)
-    values = oracle.evaluate(_full_grid(nodes, d)).reshape((m + 1,) * d)
-    lower = float(values[(slice(0, m),) * d].mean())
-    upper = float(values[(slice(1, m + 1),) * d].mean())
+    lower_sums, upper_sums = [], []
+    for prefix, points in _grid_slabs(np.linspace(0.0, 1.0, m + 1), d):
+        slab = oracle.evaluate(points).reshape((m + 1,) * (d - len(prefix)))
+        # Lower corners have every index below m, upper corners none at 0.
+        if m not in prefix:
+            lower_sums.append(float(slab[(slice(0, m),) * slab.ndim].sum()))
+        if 0 not in prefix:
+            upper_sums.append(float(slab[(slice(1, m + 1),) * slab.ndim].sum()))
+    lower = math.fsum(lower_sums) / m**d
+    upper = math.fsum(upper_sums) / m**d
     monotone_ok = _sampled_monotone_ok(oracle, stream or RandomStream(0))
     return BracketEstimate(
         lower_sum=lower,
@@ -145,14 +184,17 @@ def pc_approximate(oracle: EvalOracle, cells_per_axis: int) -> PiecewiseConstant
     """Approximate by the oracle's value at each cell's lower corner.
 
     For monotone integrands the L1 error is at most the staircase bracket
-    width on the same grid (the cellwise oscillation bound).
+    width on the same grid (the cellwise oscillation bound).  The corners are
+    evaluated slab by slab, so beyond the m^d values returned, memory is
+    O(slab * d).
     """
     m = cells_per_axis
     if m < 1:
         raise DomainError("need at least one cell per axis")
     d = oracle.dim
-    corners = np.arange(m) / m
-    values = oracle.evaluate(_full_grid(corners, d)).reshape((m,) * d)
+    values = np.empty((m,) * d)
+    for prefix, points in _grid_slabs(np.arange(m) / m, d):
+        values[prefix] = oracle.evaluate(points).reshape(values.shape[len(prefix):])
     return PiecewiseConstantApprox(values=values, cells_per_axis=m, dim=d)
 
 

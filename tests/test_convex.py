@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,37 @@ def test_evaluator_matches_highs_on_degenerate_sample_sets(
     solves.clear()
     assert np.abs(evaluator.values(xs) - highs).max() <= 1e-9
     assert solves == []
+
+
+def test_values_on_adjacent_blocks_equal_one_call(monkeypatch):
+    # The round size of the batched solves carries over from call to call,
+    # so query blocks fed one call at a time, as maximal_convex_integral
+    # feeds them, take the same solves and give bitwise the same values.
+    gen = RandomStream(35).substream("adjacent").generator()
+    samples = convex.SampleSet(gen.random((30, 6)), 6)
+    xs = gen.random((3 * convex._QUERY_BLOCK, 6))
+    pivots = _counting_solves(monkeypatch)
+    whole = convex.MaximalConvexEvaluator(samples).values(xs)
+    whole_pivots = list(pivots)
+    pivots.clear()
+    evaluator = convex.MaximalConvexEvaluator(samples)
+    cut = convex._QUERY_BLOCK
+    parts = np.concatenate([evaluator.values(xs[:cut]), evaluator.values(xs[cut:])])
+    assert pivots == whole_pivots
+    assert np.array_equal(parts, whole)
+
+
+def test_integral_holds_one_sample_block_at_a_time():
+    # The 2e5 values take 1.6 MB; all points at once, and their copy, took
+    # 2 N d floats (26 MB) at d=8.
+    samples = _scan_samples("vertex-scan", 8, 8)
+    tracemalloc.start()
+    try:
+        convex.maximal_convex_integral(samples, 200_000, RandomStream(36))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def _qhull_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,46 @@ def test_certified_error_never_exceeds_telescoping_cap():
     for d, m in ((1, 2), (2, 4), (3, 3)):
         bracket = quadrature.staircase_monotone(algorithms.make_oracle("product", d), m)
         assert bracket.certified_error <= d / (2.0 * m) + 1e-12
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_rules_hold_one_slab_at_a_time():
+    # The 1.77 M staircase nodes at d=6, m=10 take 85 MB as one array, and
+    # built as one they peaked at 170 MB; the step approximant peaked at
+    # 96 MB, of which its 10^6 returned values are 8 MB.
+    oracle = algorithms.make_oracle("product", 6)
+    assert _peak_bytes(quadrature.staircase_monotone, oracle, 10) <= 8e6
+    assert _peak_bytes(quadrature.pc_approximate, oracle, 10) <= 16e6
+
+
+@pytest.mark.parametrize(
+    "d,m", [(1, 2), (1, 10), (2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (4, 1), (4, 3)]
+)
+def test_slab_walk_matches_the_dense_grid(monkeypatch, d, m):
+    # Slabs of at most 7 nodes span one or two trailing axes here; at d=1
+    # and m=10 the single axis of 11 nodes is wider than a slab.
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", 7)
+    # Unequal weights tell the axes apart, which the built-in oracles do not.
+    weights = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)
+    weighted = EvalOracle(dim=d, fn=lambda pts: np.clip(pts @ weights, 0.0, 1.0))
+    builtins = [algorithms.make_oracle(name, d) for name in ("product", "square", "threshold")]
+    for oracle in (weighted, *builtins):
+        nodes = np.linspace(0.0, 1.0, m + 1)
+        dense = oracle.evaluate(quadrature._full_grid(nodes, d)).reshape((m + 1,) * d)
+        bracket = quadrature.staircase_monotone(oracle, m)
+        assert abs(bracket.lower_sum - dense[(slice(0, m),) * d].mean()) <= 1e-15
+        assert abs(bracket.upper_sum - dense[(slice(1, m + 1),) * d].mean()) <= 1e-15
+        corners = oracle.evaluate(quadrature._full_grid(np.arange(m) / m, d))
+        approx = quadrature.pc_approximate(oracle, m)
+        assert np.array_equal(approx.values, corners.reshape((m,) * d))
 
 
 def test_monte_carlo_constant_is_exact():
