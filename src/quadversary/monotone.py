@@ -132,15 +132,9 @@ def _bracket(boxes: np.ndarray) -> UnionVolume:
 
 
 def _union_membership(points: np.ndarray, corners: np.ndarray, mode: str) -> np.ndarray:
-    """Whether each point lies in a box [0, c] (lower) or [c, 1] (upper) of the corners."""
-    k, d = corners.shape
-    step = max(1, _BLOCK_ELEMENTS // max(1, k * d))
-    member = np.empty(points.shape[0], dtype=bool)
-    for i in range(0, points.shape[0], step):
-        pts = points[i : i + step, None, :]
-        inside = pts <= corners if mode == "lower" else pts >= corners
-        member[i : i + step] = inside.all(axis=2).any(axis=1)
-    return member
+    pts = points[:, None, :]
+    inside = pts <= corners[None, :, :] if mode == "lower" else pts >= corners[None, :, :]
+    return inside.all(axis=2).any(axis=1)
 
 
 def union_box_volume(

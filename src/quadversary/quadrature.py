@@ -54,7 +54,7 @@ class BracketEstimate:
     monotone_ok: bool
 
 
-# Largest slab of a grid walk, in nodes; a slab spans at least one axis.
+# Largest slab of a grid walk, in nodes, unless one axis alone is longer.
 _SLAB_NODES = 65536
 
 
@@ -63,24 +63,36 @@ def _full_grid(nodes: np.ndarray, dim: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
-def _grid_slabs(nodes: np.ndarray, dim: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+def _grid_slabs(nodes: np.ndarray, dim: int) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
     """Walk the full grid ``nodes``^dim in row-major order, one slab at a time.
 
-    A slab fixes the indices of the leading dim - t axes (the prefix) and
-    spans the trailing t axes, t >= 1 the most with k^t <= ``_SLAB_NODES``
-    for k nodes per axis.  Yields the prefix and the slab's (k^t, dim)
-    points, in one buffer that the next slab overwrites.
+    With k nodes per axis, a slab spans the trailing t axes, t >= 1 the most
+    with k^t <= ``_SLAB_NODES``, and a run of up to ``_SLAB_NODES`` // k^t
+    consecutive indices of the axis before them; the indices of the axes
+    before that are fixed.  Yields the slab's region of the grid, one index
+    range per axis, and its points in one buffer that the next slab
+    overwrites.
     """
     k = nodes.size
     t = 1
     while t < dim and k ** (t + 1) <= _SLAB_NODES:
         t += 1
-    lead = dim - t
-    slab = np.empty((k**t, dim))
-    slab[:, lead:] = _full_grid(nodes, t)
-    for prefix in itertools.product(range(k), repeat=lead):
-        slab[:, :lead] = nodes[list(prefix)]
-        yield prefix, slab
+    if t == dim:
+        yield (slice(0, k),) * dim, _full_grid(nodes, dim)
+        return
+    tail = k**t
+    run = _SLAB_NODES // tail
+    fixed = dim - t - 1
+    slab = np.empty((run * tail, dim))
+    slab[:, fixed + 1 :] = np.tile(_full_grid(nodes, t), (run, 1))
+    for prefix in itertools.product(range(k), repeat=fixed):
+        slab[:, :fixed] = nodes[list(prefix)]
+        for start in range(0, k, run):
+            stop = min(start + run, k)
+            size = (stop - start) * tail
+            slab[:size, fixed] = np.repeat(nodes[start:stop], tail)
+            region = tuple(slice(i, i + 1) for i in prefix) + (slice(start, stop),)
+            yield region + (slice(0, k),) * t, slab[:size]
 
 
 def _sampled_monotone_ok(oracle: EvalOracle, stream: RandomStream, pairs: int = 100) -> bool:
@@ -111,13 +123,13 @@ def staircase_monotone(
         raise DomainError("need at least one cell per axis")
     d = oracle.dim
     lower_sums, upper_sums = [], []
-    for prefix, points in _grid_slabs(np.linspace(0.0, 1.0, m + 1), d):
-        slab = oracle.evaluate(points).reshape((m + 1,) * (d - len(prefix)))
+    for region, points in _grid_slabs(np.linspace(0.0, 1.0, m + 1), d):
+        slab = oracle.evaluate(points).reshape([r.stop - r.start for r in region])
         # Lower corners have every index below m, upper corners none at 0.
-        if m not in prefix:
-            lower_sums.append(float(slab[(slice(0, m),) * slab.ndim].sum()))
-        if 0 not in prefix:
-            upper_sums.append(float(slab[(slice(1, m + 1),) * slab.ndim].sum()))
+        lower = tuple(slice(0, max(0, m - r.start)) for r in region)
+        upper = tuple(slice(max(0, 1 - r.start), None) for r in region)
+        lower_sums.append(float(slab[lower].sum()))
+        upper_sums.append(float(slab[upper].sum()))
     lower = math.fsum(lower_sums) / m**d
     upper = math.fsum(upper_sums) / m**d
     monotone_ok = _sampled_monotone_ok(oracle, stream or RandomStream(0))
@@ -193,8 +205,8 @@ def pc_approximate(oracle: EvalOracle, cells_per_axis: int) -> PiecewiseConstant
         raise DomainError("need at least one cell per axis")
     d = oracle.dim
     values = np.empty((m,) * d)
-    for prefix, points in _grid_slabs(np.arange(m) / m, d):
-        values[prefix] = oracle.evaluate(points).reshape(values.shape[len(prefix):])
+    for region, points in _grid_slabs(np.arange(m) / m, d):
+        values[region] = oracle.evaluate(points).reshape(values[region].shape)
     return PiecewiseConstantApprox(values=values, cells_per_axis=m, dim=d)
 
 

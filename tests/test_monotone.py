@@ -196,20 +196,6 @@ def test_pair_functions_agree_with_probe_on_transcript():
         assert pair.gap_low >= pair.guaranteed_gap - 1e-12
 
 
-def test_pair_values_do_not_depend_on_the_row_blocks(monkeypatch):
-    gen = RandomStream(37).substream("pair-blocks").generator()
-    pair = monotone.build_fooling_pair(gen.random((40, 4)), 4)
-    pts = gen.random((1000, 4))
-    below = (pts[:, None] <= pair.lower_corners).all(axis=2).any(axis=1)
-    above = (pts[:, None] >= pair.upper_corners).all(axis=2).any(axis=1)
-    # Blocks of a few points each, and of one point when a row of the
-    # comparison alone is larger than a block.
-    for elements in (500, 1):
-        monkeypatch.setattr(monotone, "_BLOCK_ELEMENTS", elements)
-        assert np.array_equal(pair.fplus_values(pts), np.where(below, 0.0, 1.0))
-        assert np.array_equal(pair.fminus_values(pts), np.where(above, 1.0, 0.0))
-
-
 def test_pair_functions_are_monotone():
     gen = RandomStream(29).substream("pair-monotone").generator()
     pair = monotone.build_fooling_pair(gen.random((8, 4)), 4)

@@ -92,13 +92,16 @@ def test_grid_rules_hold_one_slab_at_a_time():
     assert _peak_bytes(quadrature.pc_approximate, oracle, 10) <= 16e6
 
 
+@pytest.mark.parametrize("slab_nodes", [7, 20])
 @pytest.mark.parametrize(
     "d,m", [(1, 2), (1, 10), (2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (4, 1), (4, 3)]
 )
-def test_slab_walk_matches_the_dense_grid(monkeypatch, d, m):
-    # Slabs of at most 7 nodes span one or two trailing axes here; at d=1
-    # and m=10 the single axis of 11 nodes is wider than a slab.
-    monkeypatch.setattr(quadrature, "_SLAB_NODES", 7)
+def test_slab_walk_matches_the_dense_grid(monkeypatch, slab_nodes, d, m):
+    # Slabs of at most 7 or 20 nodes span one to four trailing axes here,
+    # plus a run of indices of the axis before them that may end short (3
+    # nodes per axis in runs of 2, 5 in runs of 4); at d=1 and m=10 the
+    # single axis of 11 nodes is wider than a slab.
+    monkeypatch.setattr(quadrature, "_SLAB_NODES", slab_nodes)
     # Unequal weights tell the axes apart, which the built-in oracles do not.
     weights = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)
     weighted = EvalOracle(dim=d, fn=lambda pts: np.clip(pts @ weights, 0.0, 1.0))
@@ -112,6 +115,13 @@ def test_slab_walk_matches_the_dense_grid(monkeypatch, d, m):
         corners = oracle.evaluate(quadrature._full_grid(np.arange(m) / m, d))
         approx = quadrature.pc_approximate(oracle, m)
         assert np.array_equal(approx.values, corners.reshape((m,) * d))
+
+
+def test_slabs_stay_near_the_slab_size_past_one_axis_of_nodes():
+    # 257 nodes per axis: a slab spans the last axis and a run of 255
+    # indices of the one before, not a single axis of 257 nodes.
+    sizes = [points.shape[0] for _, points in quadrature._grid_slabs(np.linspace(0.0, 1.0, 257), 2)]
+    assert sizes == [255 * 257, 2 * 257]
 
 
 def test_monte_carlo_constant_is_exact():
