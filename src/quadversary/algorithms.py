@@ -1,7 +1,7 @@
 """Built-in integrands and cubature algorithms for the harness and tests.
 
-Oracles come with their true integrals where known (step at half-sum: 1/2 by
-the x -> 1-x symmetry; coordinate product: 2^-d; coordinate mean: 1/2; mean
+Every oracle comes with its true integral (step at half-sum: 1/2 by the
+x -> 1-x symmetry; coordinate product: 2^-d; coordinate mean: 1/2; mean
 of squares: 1/3).  Algorithms implement the adaptive-cubature interface and
 derive any randomness from labeled substreams of one seed, so a rerun with
 the same seed replays the identical transcript.
@@ -30,53 +30,30 @@ __all__ = [
 ]
 
 
-def threshold_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(dim=dim, fn=threshold_values)
-
-
-def product_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(dim=dim, fn=lambda pts: np.prod(pts, axis=1))
-
-
-def affine_oracle(dim: int) -> EvalOracle:
-    # The coordinate mean is linear, hence both monotone and convex.
-    return EvalOracle(dim=dim, fn=lambda pts: pts.mean(axis=1))
-
-
-def square_oracle(dim: int) -> EvalOracle:
-    return EvalOracle(dim=dim, fn=lambda pts: (pts * pts).mean(axis=1))
-
-
 def zero_oracle(dim: int) -> EvalOracle:
     """The probe integrand for the convex adversary."""
     return EvalOracle(dim=dim, fn=lambda pts: np.zeros(pts.shape[0]))
 
 
+# id -> (values on an (N, d) array, integral over [0, 1]^d as a function of d).
+# The coordinate mean is linear, hence both monotone and convex.
 _ORACLES = {
-    "threshold": threshold_oracle,
-    "product": product_oracle,
-    "affine": affine_oracle,
-    "square": square_oracle,
+    "affine": (lambda pts: pts.mean(axis=1), lambda d: 0.5),
+    "product": (lambda pts: np.prod(pts, axis=1), lambda d: 2.0 ** (-d)),
+    "square": (lambda pts: (pts * pts).mean(axis=1), lambda d: 1.0 / 3.0),
+    "threshold": (threshold_values, lambda d: 0.5),
 }
 ORACLE_IDS = tuple(sorted(_ORACLES))
-
-_TRUE_INTEGRALS = {
-    "threshold": lambda d: 0.5,
-    "product": lambda d: 2.0 ** (-d),
-    "affine": lambda d: 0.5,
-    "square": lambda d: 1.0 / 3.0,
-}
 
 
 def make_oracle(oracle_id: str, dim: int) -> EvalOracle:
     if oracle_id not in _ORACLES:
         raise DomainError(f"unknown oracle {oracle_id!r}; choose from {ORACLE_IDS}")
-    return _ORACLES[oracle_id](dim)
+    return EvalOracle(dim=dim, fn=_ORACLES[oracle_id][0])
 
 
-def true_integral(oracle_id: str, dim: int) -> float | None:
-    fn = _TRUE_INTEGRALS.get(oracle_id)
-    return None if fn is None else fn(dim)
+def true_integral(oracle_id: str, dim: int) -> float:
+    return _ORACLES[oracle_id][1](dim)
 
 
 def _mean_or_half(transcript: Transcript) -> float:

@@ -12,10 +12,13 @@ Subcommands
                checks as the pytest acceptance suite; takes about 17 s on
                2 vCPUs
 
-Reports are CSV ('.' decimal, LF endings, header row, deterministic row
-order) or JSON; every run also writes a manifest with the full configuration,
-seed, and library versions, which suffices to reproduce the output bytes.
-Exit codes: 0 success, 2 configuration error, 3 internal consistency failure.
+Every report command takes ``--out``; ``adversary`` and ``quad`` also take
+``--seed``, and all but ``t0`` (always JSON) take ``--format``.  Reports are
+CSV ('.' decimal, LF endings, header row, deterministic row order) or JSON;
+every run also writes a manifest with the full configuration, any seed, and
+library versions, which suffices to reproduce the output bytes.
+Exit codes: 0 success, 2 configuration error (an unknown algorithm or oracle
+id included; no file is written), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path: Path, command: str, config: dict) -> None:
+def _finish(out: Path, command: str, config: dict, summary: str) -> int:
+    """Write the manifest next to the report ``out``, print the summary line, return 0."""
     manifest = {
         "command": command,
         "config": config,
@@ -90,7 +94,9 @@ def _write_manifest(path: Path, command: str, config: dict) -> None:
             "quadversary": __version__,
         },
     }
-    _write_json(path.parent / (path.stem + ".manifest.json"), manifest)
+    _write_json(out.parent / (out.stem + ".manifest.json"), manifest)
+    print(f"{summary} -> {out}")
+    return 0
 
 
 def _convex_theorem_bound(n: int, dim: int, t0: float) -> float:
@@ -111,8 +117,6 @@ def cmd_adversary(args) -> int:
         raise ConfigError("budget must be nonnegative")
     if args.mc_samples < 1:
         raise ConfigError("mc-samples must be at least 1")
-    if args.algorithm not in algorithms.ALGORITHM_IDS:
-        raise ConfigError(f"unknown algorithm {args.algorithm!r}")
     dim = args.d
     config = {"class": args.problem_class, "d": dim, "budget": args.budget,
               "seed": args.seed, "algorithm": args.algorithm}
@@ -141,9 +145,8 @@ def cmd_adversary(args) -> int:
             rows = [[dim, pair.n, pair.ell, pair.gap_low, pair.gap_high,
                      pair.guaranteed_gap, pair.provenance, certified]]
             _write_report(out, header, rows, "csv")
-        _write_manifest(out, "adversary", config)
-        print(f"adversary monotone d={dim} n={pair.n} certified>={certified!r} -> {out}")
-        return 0
+        return _finish(out, "adversary", config,
+                       f"adversary monotone d={dim} n={pair.n} certified>={certified!r}")
 
     oracle = algorithms.zero_oracle(dim)
     transcript, _ = run_algorithm(alg, oracle, args.budget)
@@ -173,9 +176,8 @@ def cmd_adversary(args) -> int:
         theorem,
     ]]
     _write_report(out, header, rows, args.format)
-    _write_manifest(out, "adversary", {**config, "mc_samples": args.mc_samples, "t0": threshold.t0})
-    print(f"adversary convex d={dim} n={samples.n} stat>={estimate.value!r} -> {out}")
-    return 0
+    return _finish(out, "adversary", {**config, "mc_samples": args.mc_samples, "t0": threshold.t0},
+                   f"adversary convex d={dim} n={samples.n} stat>={estimate.value!r}")
 
 
 def cmd_bounds(args) -> int:
@@ -201,12 +203,10 @@ def cmd_bounds(args) -> int:
     out = _resolve_out(args.out, "bounds." + args.format)
     header = ["d", "eps", "bound", "formula_id", "provenance", "exceeds_budget"]
     _write_report(out, header, rows, args.format)
-    _write_manifest(out, "bounds", {
+    return _finish(out, "bounds", {
         "class": args.problem_class, "eps": args.eps, "d": args.d,
         "dmax": args.dmax, "budget": budget, **extra,
-    })
-    print(f"bounds {args.problem_class} eps={args.eps} d={args.d}..{args.dmax} -> {out}")
-    return 0
+    }, f"bounds {args.problem_class} eps={args.eps} d={args.d}..{args.dmax}")
 
 
 def cmd_gscan(args) -> int:
@@ -229,61 +229,46 @@ def cmd_gscan(args) -> int:
     out = _resolve_out(args.out, "gscan." + args.format)
     header = ["t", "s", "alpha_star", "g_min", "bound_10_over_11_margin"]
     _write_report(out, header, rows, args.format)
-    _write_manifest(out, "gscan", {"tmin": args.tmin, "tmax": args.tmax, "tstep": args.tstep})
-    print(f"gscan {len(rows)} heights -> {out}")
-    return 0
+    return _finish(out, "gscan", {"tmin": args.tmin, "tmax": args.tmax, "tstep": args.tstep},
+                   f"gscan {len(rows)} heights")
 
 
 def cmd_t0(args) -> int:
     threshold = convex.default_height_threshold()
     out = _resolve_out(args.out, "t0.json")
     _write_json(out, threshold.to_json_obj())
-    _write_manifest(out, "t0", {})
-    print(f"t0={threshold.t0!r} eps0={threshold.eps0!r} -> {out}")
-    return 0
+    return _finish(out, "t0", {}, f"t0={threshold.t0!r} eps0={threshold.eps0!r}")
 
 
 def cmd_quad(args) -> int:
     _check_d_and_seed(args)
     dim = args.d
-    if args.oracle not in algorithms.ORACLE_IDS:
-        raise ConfigError(f"unknown oracle {args.oracle!r}")
+    oracle = algorithms.make_oracle(args.oracle, dim)
+    truth = algorithms.true_integral(args.oracle, dim)
     rows = []
     if args.method in ("staircase", "both"):
-        oracle = algorithms.make_oracle(args.oracle, dim)
         bracket = quadrature.staircase_monotone(oracle, args.m, RandomStream(args.seed))
-        rows.append([
-            dim, "staircase", bracket.samples_used, bracket.estimate,
-            bracket.certified_error, algorithms.true_integral(args.oracle, dim),
-        ])
+        rows.append([dim, "staircase", bracket.samples_used, bracket.estimate,
+                     bracket.certified_error, truth])
     if args.method in ("mc", "both"):
         if args.n < 1:
             raise ConfigError("mc needs --n >= 1")
-        oracle = algorithms.make_oracle(args.oracle, dim)
         estimate, rmse = quadrature.monte_carlo(oracle, args.n, RandomStream(args.seed))
-        rows.append([
-            dim, "mc", args.n, estimate, rmse,
-            algorithms.true_integral(args.oracle, dim),
-        ])
+        rows.append([dim, "mc", args.n, estimate, rmse, truth])
     if args.method == "rate":
-        brackets, slope = quadrature.staircase_rate(algorithms.make_oracle(args.oracle, dim))
-        truth = algorithms.true_integral(args.oracle, dim)
+        brackets, slope = quadrature.staircase_rate(oracle)
         rows.extend(
             [dim, "staircase", b.samples_used, b.estimate, b.certified_error, truth]
             for b in brackets
         )
         rows.append([dim, "rate-slope", sum(b.samples_used for b in brackets), slope, "", ""])
-    if not rows:
-        raise ConfigError(f"unknown method {args.method!r}")
     out = _resolve_out(args.out, "quad." + args.format)
     header = ["d", "method", "n", "estimate", "certified_error_or_rmse", "true_value_if_known"]
     _write_report(out, header, rows, args.format)
-    _write_manifest(out, "quad", {
+    return _finish(out, "quad", {
         "d": dim, "seed": args.seed, "method": args.method,
         "oracle": args.oracle, "m": args.m, "n": args.n,
-    })
-    print(f"quad {args.method} oracle={args.oracle} d={dim} -> {out}")
-    return 0
+    }, f"quad {args.method} oracle={args.oracle} d={dim}")
 
 
 def cmd_verify(args) -> int:
@@ -311,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def add_report(p):
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -324,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples of the hull volume (--class convex only)")
     p.add_argument("--algorithm", type=str, default="constant-half",
                    help=f"one of {', '.join(algorithms.ALGORITHM_IDS)}")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    add_report(p)
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("bounds", help="tabulate query-count lower bounds")
@@ -334,18 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--budget", type=int, default=10**6,
                    help="query budget against which bounds are flagged")
-    add_common(p)
+    add_report(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("gscan", help="scan the Chernoff factor over slice heights")
     p.add_argument("--tmin", type=float, default=0.0)
     p.add_argument("--tmax", type=float, default=0.4)
     p.add_argument("--tstep", type=float, default=0.02)
-    add_common(p)
+    add_report(p)
     p.set_defaults(fn=cmd_gscan)
 
     p = sub.add_parser("t0", help="compute the certified height threshold")
-    add_common(p)
+    p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_t0)
 
     p = sub.add_parser("quad", help="baseline quadrature on built-in integrands")
@@ -355,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=4, help="staircase cells per axis")
     p.add_argument("--n", type=int, default=0, help="Monte Carlo sample count")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    add_report(p)
     p.set_defaults(fn=cmd_quad)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")

@@ -61,6 +61,11 @@ __all__ = [
 
 # Certification threshold for the per-coordinate Chernoff factor.
 CERTIFICATION_LIMIT = 10.0 / 11.0
+# Golden-section tolerance on the Chernoff rate.
+_RATE_TOL = 1e-9
+# Height grid that find_height_threshold scans, and its bisection tolerance.
+_HEIGHT_STEP = 1e-3
+_HEIGHT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,31 +87,22 @@ class SampleSet:
         return SampleSet(np.zeros((0, dim)), dim)
 
 
-def _query_rhs(queries: np.ndarray) -> np.ndarray:
-    """Right-hand sides [1; x; 1-x] for a batch of queries, one column each."""
-    n_q, d = queries.shape
-    rhs = np.empty((2 * d + 1, n_q))
-    rhs[0] = 1.0
-    rhs[1 : d + 1] = queries.T
-    rhs[d + 1 :] = 1.0 - queries.T
-    return rhs
+def _lift(points: np.ndarray) -> np.ndarray:
+    """The columns [1; x; 1-x] of (n, d) points, as a (2d + 1, n) array.
 
-
-def _membership_program(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint matrix and objective of the hull-membership maximization.
-
-    A combination weight vector puts mass on the sample points and the rest
-    on the top face; the query point x is reachable at height 1 - sum(w) iff
-    sum(w) <= 1,  X^T w <= x,  (1-X)^T w <= 1-x,  w >= 0.  Maximizing sum(w)
-    therefore finds the lowest point of the hull above x.
+    Lifted sample points are the constraint columns of the hull-membership
+    program and lifted queries its right-hand sides.  A combination weight
+    vector puts mass on the sample points and the rest on the top face; the
+    query point x is reachable at height 1 - sum(w) iff sum(w) <= 1,
+    X^T w <= x,  (1-X)^T w <= 1-x,  w >= 0.  Maximizing sum(w) therefore
+    finds the lowest point of the hull above x.
     """
-    d = samples.dim
-    n = samples.n
-    a = np.empty((2 * d + 1, n))
-    a[0] = 1.0
-    a[1 : d + 1] = samples.points.T
-    a[d + 1 :] = 1.0 - samples.points.T
-    return a, np.ones(n)
+    n, d = points.shape
+    lifted = np.empty((2 * d + 1, n))
+    lifted[0] = 1.0
+    lifted[1 : d + 1] = points.T
+    lifted[d + 1 :] = 1.0 - points.T
+    return lifted
 
 
 # Queries per block of MaximalConvexEvaluator.values.
@@ -144,7 +140,8 @@ class MaximalConvexEvaluator:
 
     def __init__(self, samples: SampleSet):
         self.samples = samples
-        self._constraints, self._objective = _membership_program(samples)
+        self._constraints = _lift(samples.points)
+        self._objective = np.ones(samples.n)
         m = self._constraints.shape[0]
         # Duals and inverses of the cached bases, in buffers that double
         # when full; ``_rows`` maps a basis to its row.
@@ -182,7 +179,7 @@ class MaximalConvexEvaluator:
         best = np.empty(n_q)
         for lo in range(0, n_q, _QUERY_BLOCK):
             hi = min(n_q, lo + _QUERY_BLOCK)
-            self._resolve(_query_rhs(pts[lo:hi]), best[lo:hi])
+            self._resolve(_lift(pts[lo:hi]), best[lo:hi])
         return np.clip(1.0 - best, 0.0, 1.0)
 
     def _resolve(self, rhs: np.ndarray, best: np.ndarray) -> None:
@@ -473,7 +470,7 @@ def _golden_section_min(fn, lo: float, hi: float, tol: float) -> tuple[float, fl
     return best_x, best_y
 
 
-def chernoff_factor_min(s: float, tol: float = 1e-9) -> ChernoffBound:
+def chernoff_factor_min(s: float) -> ChernoffBound:
     """Minimize the exponential-moment factor over positive rates.
 
     The factor is convex in the rate (its second derivative is an integral
@@ -502,12 +499,12 @@ def chernoff_factor_min(s: float, tol: float = 1e-9) -> ChernoffBound:
         alpha *= 2.0
         if alpha > 2.0**40:
             raise ConvergenceError(f"no bracket for the factor minimum at s={s}")
-    alpha_star, g_min = _golden_section_min(fn, lo, hi, tol)
+    alpha_star, g_min = _golden_section_min(fn, lo, hi, _RATE_TOL)
     if prev_value < g_min and prev_alpha > 0.0:
         alpha_star, g_min = prev_alpha, prev_value
     if g_min > 1.0:
         # rate 0 gives exactly 1; never report worse than the trivial factor
-        alpha_star, g_min = min(alpha_star, tol), 1.0
+        alpha_star, g_min = min(alpha_star, _RATE_TOL), 1.0
     return ChernoffBound(s=s, alpha_star=alpha_star, g_min=g_min, certified=g_min < CERTIFICATION_LIMIT)
 
 
@@ -525,9 +522,7 @@ class HeightThreshold:
         return obj
 
 
-def find_height_threshold(
-    grid_step: float = 1e-3, refine_tol: float = 1e-6
-) -> HeightThreshold:
+def find_height_threshold() -> HeightThreshold:
     """Find the largest height below which the Chernoff factor certifies.
 
     Scans heights upward on a dense grid (certification must hold at every
@@ -542,10 +537,10 @@ def find_height_threshold(
 
     if not certified(0.0):
         raise ConvergenceError("certification fails at height zero; inconsistent setup")
-    steps = int(round(1.0 / grid_step))
+    steps = int(round(1.0 / _HEIGHT_STEP))
     t_ok, t_bad = 0.0, None
     for k in range(1, steps + 1):
-        t = k * grid_step
+        t = k * _HEIGHT_STEP
         if certified(t):
             t_ok = t
         else:
@@ -553,7 +548,7 @@ def find_height_threshold(
             break
     if t_bad is None:
         raise ConvergenceError("certification never fails on (0, 1]; inconsistent setup")
-    while t_bad - t_ok > refine_tol:
+    while t_bad - t_ok > _HEIGHT_TOL:
         mid = 0.5 * (t_ok + t_bad)
         if certified(mid):
             t_ok = mid

@@ -40,8 +40,8 @@ class ConvergenceError(RuntimeError):
 
 
 def threshold_values(points: np.ndarray) -> np.ndarray:
-    """0/1 step at half the coordinate sum, row by row; the boundary maps to 1."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """0/1 step at half the coordinate sum of each (N, d) row; the boundary maps to 1."""
+    pts = np.asarray(points, dtype=float)
     return (pts.sum(axis=1) >= pts.shape[1] / 2.0).astype(int)
 
 
@@ -137,13 +137,11 @@ def _union_membership(points: np.ndarray, corners: np.ndarray, mode: str) -> np.
     return inside.all(axis=2).any(axis=1)
 
 
-def union_box_volume(
-    corners: np.ndarray, mode: str, *, exact_cap: int = EXACT_CORNER_CAP
-) -> UnionVolume:
+def union_box_volume(corners: np.ndarray, mode: str) -> UnionVolume:
     """Bracket the volume of the union of boxes [0, t_j] (lower) or [t_j, 1] (upper).
 
     Duplicate boxes and boxes inside another box add nothing and are dropped.
-    If at most ``exact_cap`` remain, inclusion-exclusion gives the volume
+    If at most ``EXACT_CORNER_CAP`` remain, inclusion-exclusion gives the volume
     (``low == high``); otherwise :func:`_bracket` bounds it.
     """
     if mode not in ("lower", "upper"):
@@ -153,7 +151,7 @@ def union_box_volume(
         return UnionVolume(0.0, 0.0)
     arr = as_points(arr, arr.shape[-1])
     boxes = _maximal_boxes(arr if mode == "lower" else 1.0 - arr)
-    return _bracket(boxes) if boxes.shape[0] > exact_cap else _inclusion_exclusion(boxes)
+    return _bracket(boxes) if boxes.shape[0] > EXACT_CORNER_CAP else _inclusion_exclusion(boxes)
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
     and no lower box meets an upper one, so the gap is at least 0.
     """
     arr = as_points(points, dim)
-    labels = threshold_values(arr) if arr.shape[0] else np.zeros(0, dtype=int)
+    labels = threshold_values(arr)
     vol_lower = union_box_volume(arr[labels == 0], "lower")
     vol_upper = union_box_volume(arr[labels == 1], "upper")
     return MonotoneFoolingPair(
@@ -222,7 +220,7 @@ def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
         dim=dim,
         gap_low=max(0.0, (1.0 - vol_lower.high) - vol_upper.high),
         gap_high=(1.0 - vol_lower.low) - vol_upper.low,
-        guaranteed_gap=max(0.0, 1.0 - arr.shape[0] * 2.0 ** (-dim)),
+        guaranteed_gap=2.0 * error_lower_bound(arr.shape[0], dim),
         provenance="exact" if vol_lower.exact and vol_upper.exact else "bracket",
     )
 

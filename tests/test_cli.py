@@ -233,8 +233,22 @@ def test_config_errors_exit_2(tmp_path):
             "adversary", "--class", "convex", "--d", "2", *bad,
             "--out", str(tmp_path / "w.csv"),
         ]) == 2
-    for bad in (["--d", "0"], ["--d", "1", "--seed", "-1"]):
+    for bad in (["--d", "0"], ["--d", "1", "--seed", "-1"], ["--d", "2", "--oracle", "nope"]):
         assert cli.main(["quad", *bad, "--out", str(tmp_path / "q.csv")]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--class", "monotone", "--eps", "0.25", "--dmax", "2", "--seed", "3"],
+    ["gscan", "--seed", "3"],
+    ["t0", "--seed", "3"],
+    ["t0", "--format", "csv"],
+])
+def test_deterministic_commands_reject_unread_flags(tmp_path, argv):
+    # bounds, gscan and t0 draw no random numbers, and t0 writes only JSON
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
     assert not list(tmp_path.iterdir())
 
 

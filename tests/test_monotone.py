@@ -96,9 +96,9 @@ def test_union_volume_between_max_and_sum(d, k, data):
 def test_union_volume_bracket_contains_exact():
     gen = RandomStream(3).substream("fallback").generator()
     corners = gen.random((6, 3))
-    for mode in ("lower", "upper"):
+    for mode, boxes in (("lower", corners), ("upper", 1.0 - corners)):
         exact = monotone.union_box_volume(corners, mode)
-        bracket = monotone.union_box_volume(corners, mode, exact_cap=2)
+        bracket = monotone._bracket(monotone._maximal_boxes(boxes))
         assert exact.exact and not bracket.exact
         assert bracket.low <= exact.low <= bracket.high
 
@@ -161,7 +161,7 @@ def test_exact_volume_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20  # one unblocked 2^20 x 20 table alone is about 170 MB
-    bracket = monotone.union_box_volume(corners, "lower", exact_cap=0)
+    bracket = monotone._bracket(monotone._maximal_boxes(corners))
     assert volume.exact and bracket.low <= volume.low <= bracket.high
 
 

@@ -68,6 +68,16 @@ def test_staircase_brackets_random_monotone_mixtures():
         assert bracket.certified_error <= d / (2.0 * 2) + 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("oracle_id", algorithms.ORACLE_IDS)
+def test_builtin_integrals_lie_in_their_staircase_brackets(oracle_id, d):
+    # Every built-in oracle is monotone, so the staircase rule brackets its
+    # integral; at m = 8 the brackets are narrow enough to catch two oracles'
+    # integrals trading places.
+    bracket = quadrature.staircase_monotone(algorithms.make_oracle(oracle_id, d), 8)
+    assert bracket.lower_sum <= algorithms.true_integral(oracle_id, d) <= bracket.upper_sum
+
+
 def test_certified_error_never_exceeds_telescoping_cap():
     for d, m in ((1, 2), (2, 4), (3, 3)):
         bracket = quadrature.staircase_monotone(algorithms.make_oracle("product", d), m)
