@@ -15,7 +15,6 @@ from .core import (
     EvalOracle,
     RandomStream,
     Transcript,
-    initial_error,
     run_algorithm,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "RandomStream",
     "Transcript",
     "__version__",
-    "initial_error",
     "run_algorithm",
 ]

@@ -15,10 +15,11 @@ Subcommands
 Every report command takes ``--out``; ``adversary`` and ``quad`` also take
 ``--seed``, and all but ``t0`` (always JSON) take ``--format``.  Reports are
 CSV ('.' decimal, LF endings, header row, deterministic row order) or JSON;
-every run also writes a manifest with the full configuration, any seed, and
-library versions, which suffices to reproduce the output bytes.
+every run also writes a manifest with the configuration values it read (any
+seed included) and library versions, enough to reproduce the output bytes.
 Exit codes: 0 success, 2 configuration error (an unknown algorithm or oracle
-id included; no file is written), 3 internal consistency failure.
+id included), 3 internal consistency failure (a monotone fooling pair that
+disagrees with the probe included); neither error writes a file.
 """
 
 from __future__ import annotations
@@ -115,8 +116,6 @@ def cmd_adversary(args) -> int:
     _check_d_and_seed(args)
     if args.budget < 0:
         raise ConfigError("budget must be nonnegative")
-    if args.mc_samples < 1:
-        raise ConfigError("mc-samples must be at least 1")
     dim = args.d
     config = {"class": args.problem_class, "d": dim, "budget": args.budget,
               "seed": args.seed, "algorithm": args.algorithm}
@@ -127,6 +126,9 @@ def cmd_adversary(args) -> int:
         oracle = algorithms.make_oracle("threshold", dim)
         transcript, _ = run_algorithm(alg, oracle, args.budget)
         pair = monotone.build_fooling_pair(transcript.points, dim)
+        for name, values in (("f+", pair.fplus_values), ("f-", pair.fminus_values)):
+            if not np.array_equal(values(transcript.points), transcript.values):
+                raise ConsistencyError(f"{name} disagrees with the probe on the transcript")
         certified = pair.gap_low / 2.0
         theorem = monotone.error_lower_bound(pair.n, dim)
         if certified < theorem - 1e-12:
@@ -148,6 +150,8 @@ def cmd_adversary(args) -> int:
         return _finish(out, "adversary", config,
                        f"adversary monotone d={dim} n={pair.n} certified>={certified!r}")
 
+    if args.mc_samples < 1:
+        raise ConfigError("mc-samples must be at least 1")
     oracle = algorithms.zero_oracle(dim)
     transcript, _ = run_algorithm(alg, oracle, args.budget)
     samples = convex.SampleSet(transcript.points, dim)
@@ -246,13 +250,16 @@ def cmd_quad(args) -> int:
     oracle = algorithms.make_oracle(args.oracle, dim)
     truth = algorithms.true_integral(args.oracle, dim)
     rows = []
+    config = {"d": dim, "method": args.method, "oracle": args.oracle}
     if args.method in ("staircase", "both"):
-        bracket = quadrature.staircase_monotone(oracle, args.m, RandomStream(args.seed))
+        config["m"] = args.m
+        bracket = quadrature.staircase_monotone(oracle, args.m)
         rows.append([dim, "staircase", bracket.samples_used, bracket.estimate,
                      bracket.certified_error, truth])
     if args.method in ("mc", "both"):
         if args.n < 1:
             raise ConfigError("mc needs --n >= 1")
+        config.update(n=args.n, seed=args.seed)
         estimate, rmse = quadrature.monte_carlo(oracle, args.n, RandomStream(args.seed))
         rows.append([dim, "mc", args.n, estimate, rmse, truth])
     if args.method == "rate":
@@ -265,10 +272,7 @@ def cmd_quad(args) -> int:
     out = _resolve_out(args.out, "quad." + args.format)
     header = ["d", "method", "n", "estimate", "certified_error_or_rmse", "true_value_if_known"]
     _write_report(out, header, rows, args.format)
-    return _finish(out, "quad", {
-        "d": dim, "seed": args.seed, "method": args.method,
-        "oracle": args.oracle, "m": args.m, "n": args.n,
-    }, f"quad {args.method} oracle={args.oracle} d={dim}")
+    return _finish(out, "quad", config, f"quad {args.method} oracle={args.oracle} d={dim}")
 
 
 def cmd_verify(args) -> int:

@@ -55,7 +55,6 @@ __all__ = [
     "find_height_threshold",
     "hull_volume_upper_bound",
     "maximal_convex_integral",
-    "maximal_convex_value",
     "vertexize",
 ]
 
@@ -231,11 +230,6 @@ class MaximalConvexEvaluator:
                 best[idx[hit]] = objective[row, hit]
                 open_[hit] = False
             unresolved[idx[~open_]] = False
-
-
-def maximal_convex_value(x: np.ndarray | Sequence[float], samples: SampleSet) -> float:
-    """Single-query evaluation by a fresh :class:`MaximalConvexEvaluator`."""
-    return float(MaximalConvexEvaluator(samples).values(np.asarray(x)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ points and the n values returned there.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol, runtime_checkable
@@ -25,7 +24,6 @@ __all__ = [
     "AdaptiveCubature",
     "RandomStream",
     "as_points",
-    "initial_error",
     "run_algorithm",
 ]
 
@@ -110,22 +108,6 @@ class Transcript:
             self.values, other.values
         )
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"point": p, "value": v}
-            for p, v in zip(self.points.tolist(), self.values.tolist())
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json(text: str) -> "Transcript":
-        items = json.loads(text)
-        points = np.asarray([item["point"] for item in items], dtype=float)
-        values = np.asarray([item["value"] for item in items], dtype=float)
-        return Transcript(as_points(points, points.shape[-1]), values)
-
 
 @runtime_checkable
 class AdaptiveCubature(Protocol):
@@ -184,15 +166,6 @@ def run_algorithm(
         values[n] = value
         n += 1
     return transcript, float(alg.finalize(transcript))
-
-
-def initial_error() -> float:
-    """Worst-case error of the best zero-query algorithm (the constant 1/2).
-
-    The same value holds for the monotone and the convex class in every
-    dimension, which is what makes absolute error the right scale.
-    """
-    return 0.5
 
 
 def _label_word(label: int | str) -> int:

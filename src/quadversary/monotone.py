@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, as_points
+from .core import DomainError, as_points
 
 __all__ = [
     "ConvergenceError",
@@ -57,14 +57,29 @@ class UnionVolume:
         return self.low == self.high
 
 
+def _holders(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """For each point p, count the corners c with p <= c: the boxes [0, c] holding p.
+
+    Rows go in blocks of at most ``_BLOCK_ELEMENTS`` (point, box) pairs with one
+    ``&=`` per axis, so no (n, k, d) temporary is built.
+    """
+    n, d = points.shape
+    step = max(1, _BLOCK_ELEMENTS // max(1, corners.shape[0]))
+    counts = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, step):
+        block = points[lo : lo + step]
+        inside = block[:, :1] <= corners[:, 0]
+        for axis in range(1, d):
+            inside &= block[:, axis, None] <= corners[:, axis]
+        counts[lo : lo + step] = inside.sum(axis=1)
+    return counts
+
+
 def _maximal_boxes(boxes: np.ndarray) -> np.ndarray:
     """Distinct boxes [0, b] that lie in no other box, in lexicographic order."""
     boxes = np.unique(boxes, axis=0)
-    k, d = boxes.shape
-    step = max(1, _BLOCK_ELEMENTS // (k * d))
     # Rows are distinct, so a box that only its own row contains is maximal.
-    holders = [(boxes[i : i + step, None] <= boxes).all(2).sum(1) for i in range(0, k, step)]
-    return boxes[np.concatenate(holders) == 1]
+    return boxes[_holders(boxes, boxes) == 1]
 
 
 def _inclusion_exclusion(boxes: np.ndarray) -> UnionVolume:
@@ -131,12 +146,6 @@ def _bracket(boxes: np.ndarray) -> UnionVolume:
     return UnionVolume(low, min(1.0, total - tree + tol * total + tiny))
 
 
-def _union_membership(points: np.ndarray, corners: np.ndarray, mode: str) -> np.ndarray:
-    pts = points[:, None, :]
-    inside = pts <= corners[None, :, :] if mode == "lower" else pts >= corners[None, :, :]
-    return inside.all(axis=2).any(axis=1)
-
-
 def union_box_volume(corners: np.ndarray, mode: str) -> UnionVolume:
     """Bracket the volume of the union of boxes [0, t_j] (lower) or [t_j, 1] (upper).
 
@@ -181,18 +190,17 @@ class MonotoneFoolingPair:
         return self.lower_corners.shape[0] + self.upper_corners.shape[0]
 
     def fplus_values(self, points: np.ndarray) -> np.ndarray:
-        pts = as_points(points, self.dim)
-        return np.where(_union_membership(pts, self.lower_corners, "lower"), 0.0, 1.0)
+        """1 at each (N, d) point except below some lower corner, where it is 0."""
+        held = _holders(as_points(points, self.dim), self.lower_corners) > 0
+        return np.where(held, 0.0, 1.0)
 
     def fminus_values(self, points: np.ndarray) -> np.ndarray:
-        pts = as_points(points, self.dim)
-        return np.where(_union_membership(pts, self.upper_corners, "upper"), 1.0, 0.0)
+        """0 at each (N, d) point except above some upper corner, where it is 1.
 
-    def fplus_oracle(self) -> EvalOracle:
-        return EvalOracle(self.dim, self.fplus_values)
-
-    def fminus_oracle(self) -> EvalOracle:
-        return EvalOracle(self.dim, self.fminus_values)
+        p lies in [q, 1] iff -p <= -q; negation is exact, 1 - p is not (1 - 1e-17 == 1 - 2e-17).
+        """
+        held = _holders(-as_points(points, self.dim), -self.upper_corners) > 0
+        return np.where(held, 1.0, 0.0)
 
     def to_json_obj(self) -> dict:
         return {

@@ -40,10 +40,8 @@ __all__ = [
 class BracketEstimate:
     """Two-sided staircase estimate with a certified half-width.
 
-    For a genuinely monotone oracle the true integral lies in
-    [lower_sum, upper_sum]; ``monotone_ok`` records whether the sampled
-    monotonicity check found no violation (it is a sanity check, not a
-    proof).
+    For a monotone oracle the true integral lies in [lower_sum, upper_sum];
+    the bracket is a proof only under that assumption, which is not checked.
     """
 
     lower_sum: float
@@ -51,7 +49,6 @@ class BracketEstimate:
     estimate: float
     certified_error: float
     samples_used: int
-    monotone_ok: bool
 
 
 # Largest slab of a grid walk, in nodes, unless one axis alone is longer.
@@ -95,20 +92,7 @@ def _grid_slabs(nodes: np.ndarray, dim: int) -> Iterator[tuple[tuple[slice, ...]
             yield region + (slice(0, k),) * t, slab[:size]
 
 
-def _sampled_monotone_ok(oracle: EvalOracle, stream: RandomStream, pairs: int = 100) -> bool:
-    gen = stream.substream("monotone-check").generator()
-    a = gen.random((pairs, oracle.dim))
-    b = gen.random((pairs, oracle.dim))
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return bool((oracle.evaluate(lo) <= oracle.evaluate(hi) + 1e-9).all())
-
-
-def staircase_monotone(
-    oracle: EvalOracle,
-    cells_per_axis: int,
-    stream: RandomStream | None = None,
-) -> BracketEstimate:
+def staircase_monotone(oracle: EvalOracle, cells_per_axis: int) -> BracketEstimate:
     """Bracket a monotone integral between lower- and upper-corner averages.
 
     Both averages reuse one (m+1)^d node grid, which halves the evaluations
@@ -116,7 +100,7 @@ def staircase_monotone(
     evaluated slab by slab, so memory is O(slab * d) for any m and d; the
     slab sums are added by ``math.fsum``.  The reported certificate is the
     tighter of the realized half-width (U - L) / 2 and the telescoping cap
-    d / (2 m).
+    d / (2 m).  Both presume a monotone oracle, which is not checked.
     """
     m = cells_per_axis
     if m < 1:
@@ -132,14 +116,12 @@ def staircase_monotone(
         upper_sums.append(float(slab[upper].sum()))
     lower = math.fsum(lower_sums) / m**d
     upper = math.fsum(upper_sums) / m**d
-    monotone_ok = _sampled_monotone_ok(oracle, stream or RandomStream(0))
     return BracketEstimate(
         lower_sum=lower,
         upper_sum=upper,
         estimate=(lower + upper) / 2.0,
         certified_error=min((upper - lower) / 2.0, d / (2.0 * m)),
         samples_used=(m + 1) ** d,
-        monotone_ok=monotone_ok,
     )
 
 

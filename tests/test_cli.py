@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadversary import acceptance, cli
@@ -177,9 +178,22 @@ def test_quad_staircase_row(tmp_path):
     assert float(row["certified_error_or_rmse"]) == 0.25
     assert float(row["true_value_if_known"]) == 0.5
     manifest = json.loads((tmp_path / "quad.manifest.json").read_text())
-    assert manifest["config"] == {
-        "d": 1, "seed": 0, "method": "staircase", "oracle": "affine", "m": 2, "n": 0,
-    }
+    assert manifest["config"] == {"d": 1, "method": "staircase", "oracle": "affine", "m": 2}
+
+
+@pytest.mark.parametrize("method, unread", [
+    ("rate", ["--m", "99", "--n", "5", "--seed", "3"]),
+    ("staircase", ["--n", "5", "--seed", "3"]),
+    ("mc", ["--m", "99"]),
+], ids=["rate", "staircase", "mc"])
+def test_quad_manifest_records_only_what_the_method_reads(tmp_path, method, unread):
+    # the staircase rules read --m, Monte Carlo reads --n and --seed
+    args = ["quad", "--method", method, "--oracle", "product", "--d", "2", "--n", "7"]
+    assert cli.main([*args, "--out", str(tmp_path / "a.csv")]) == 0
+    assert cli.main([*args, *unread, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    manifests = [(tmp_path / f"{s}.manifest.json").read_bytes() for s in "ab"]
+    assert manifests[0] == manifests[1]
 
 
 def test_quad_mc_reruns_bit_identical(tmp_path):
@@ -249,6 +263,45 @@ def test_deterministic_commands_reject_unread_flags(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--out", str(tmp_path / "r.csv")])
     assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_monotone_adversary_ignores_mc_samples(tmp_path):
+    # only the convex hull volume is sampled; --mc-samples 0 is an error there alone
+    args = ["adversary", "--class", "monotone", "--d", "3", "--budget", "4",
+            "--algorithm", "grid-scan"]
+    assert cli.main([*args, "--out", str(tmp_path / "a.csv")]) == 0
+    assert cli.main([*args, "--mc-samples", "0", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _strict_holders(points, corners):
+    return (points[:, None, :] < corners[None, :, :]).all(axis=2).sum(axis=1)
+
+
+def _strict_split(points):
+    pts = np.asarray(points, dtype=float)
+    return (pts.sum(axis=1) > pts.shape[1] / 2.0).astype(int)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_holders", _strict_holders),
+    ("threshold_values", _strict_split),
+], ids=["strict-box-test", "split-unlike-probe"])
+def test_pair_gate_exits_3_when_the_pair_disagrees_with_the_probe(
+    tmp_path, monkeypatch, capsys, name, mutant
+):
+    # Grid-scan at d=4 queries points whose coordinate sum is exactly 2, which
+    # the probe maps to 1; the oracle keeps its own reference to the probe.
+    from quadversary import monotone
+
+    monkeypatch.setattr(monotone, name, mutant)
+    code = cli.main([
+        "adversary", "--class", "monotone", "--d", "4", "--budget", "10",
+        "--algorithm", "grid-scan", "--out", str(tmp_path / "g.csv"),
+    ])
+    assert code == 3
+    assert "disagrees with the probe" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

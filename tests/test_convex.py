@@ -22,22 +22,20 @@ def test_value_vanishes_on_samples_and_is_one_without_samples():
     samples = convex.SampleSet(gen.random((4, 3)), 3)
     evaluator = convex.MaximalConvexEvaluator(samples)
     assert evaluator.values(samples.points).max() <= 1e-9
-    empty = convex.SampleSet.empty(3)
-    assert convex.maximal_convex_value(np.array([0.2, 0.9, 0.4]), empty) == 1.0
+    empty = convex.MaximalConvexEvaluator(convex.SampleSet.empty(3))
+    assert empty.values(np.array([[0.2, 0.9, 0.4]]))[0] == 1.0
 
 
 def test_single_query_value_rejects_malformed_queries():
-    samples = convex.SampleSet(np.array([[0.25, 0.5, 0.75]]), 3)
-    for x in (0.5, np.full(4, 0.5), np.full((1, 3), 0.5)):
+    evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(np.array([[0.25, 0.5, 0.75]]), 3))
+    for x in (0.5, np.full((1, 4), 0.5)):
         with pytest.raises(DomainError):
-            convex.maximal_convex_value(x, samples)
+            evaluator.values(x)
 
 
 def test_value_matches_1d_hull_geometry():
-    samples = convex.SampleSet(np.array([[0.25]]), 1)
-    assert convex.maximal_convex_value(np.array([0.5]), samples) == pytest.approx(
-        1.0 / 3.0, abs=1e-9
-    )
+    evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(np.array([[0.25]]), 1))
+    assert evaluator.values(np.array([[0.5]]))[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_1d_queries_follow_the_one_point_shape_rule():
@@ -47,7 +45,7 @@ def test_1d_queries_follow_the_one_point_shape_rule():
     with pytest.raises(DomainError):
         evaluator.values(xs)
     with pytest.raises(DomainError):
-        convex.maximal_convex_value(0.5, evaluator.samples)
+        evaluator.values(0.5)
     assert np.abs(evaluator.values(xs[:, None]) - maximal_convex_1d(xs, pts)).max() <= 1e-9
 
 
@@ -73,7 +71,7 @@ def test_batch_evaluator_equals_single_solves():
     evaluator = convex.MaximalConvexEvaluator(samples)
     xs = gen.random((200, 4))
     batch = evaluator.values(xs)
-    singles = np.array([convex.maximal_convex_value(x, samples) for x in xs])
+    singles = np.array([convex.MaximalConvexEvaluator(samples).values(x[None])[0] for x in xs])
     assert np.abs(batch - singles).max() <= 1e-9
 
 

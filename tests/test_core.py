@@ -11,9 +11,7 @@ from quadversary.core import (
     DomainError,
     EvalOracle,
     RandomStream,
-    Transcript,
     as_points,
-    initial_error,
     run_algorithm,
 )
 
@@ -116,20 +114,6 @@ def test_dimension_mismatch_rejected():
         run_algorithm(algorithms.ConstantHalf(dim=3), oracle, budget=-1)
 
 
-def test_initial_error_is_half_for_both_classes():
-    assert initial_error() == 0.5  # dimension-independent by definition
-
-
-def test_transcript_json_round_trip():
-    t = Transcript(np.array([[0.25, 0.75], [0.1, 0.2]]), np.array([1.0, 0.0]))
-    again = Transcript.from_json(t.to_json())
-    assert again == t
-    assert [r["value"] for r in t.to_json_obj()] == [1.0, 0.0]
-    assert Transcript.from_json("[]").n == 0
-    with pytest.raises(DomainError):
-        Transcript.from_json('[{"point": [1.5], "value": 0.0}]')
-
-
 def test_replay_same_seed_reproduces_transcript():
     oracle = algorithms.make_oracle("threshold", 4)
     runs = []
@@ -149,7 +133,7 @@ def test_fooling_principle_same_transcript_same_output():
     alg = algorithms.make_algorithm("uniform-random", 5, 15, RandomStream(7))
     transcript, output = run_algorithm(alg, oracle, budget=15)
     pair = monotone.build_fooling_pair(transcript.points, 5)
-    for sibling in (pair.fplus_oracle(), pair.fminus_oracle()):
+    for sibling in (EvalOracle(5, pair.fplus_values), EvalOracle(5, pair.fminus_values)):
         t2, out2 = run_algorithm(alg, sibling, budget=15)
         assert np.array_equal(t2.points, transcript.points)
         assert out2 == output
@@ -181,7 +165,7 @@ def test_fooling_principle_holds_for_adaptive_queries():
     transcript, output = run_algorithm(alg, oracle, budget=12)
     assert len(set(transcript.values.tolist())) == 2  # both branches exercised
     pair = monotone.build_fooling_pair(transcript.points, 4)
-    for sibling in (pair.fplus_oracle(), pair.fminus_oracle()):
+    for sibling in (EvalOracle(4, pair.fplus_values), EvalOracle(4, pair.fminus_values)):
         t2, out2 = run_algorithm(alg, sibling, budget=12)
         assert t2 == transcript
         assert out2 == output

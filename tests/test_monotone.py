@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,8 +150,6 @@ def test_dominated_and_duplicate_corners_leave_volume_bits_unchanged():
 
 
 def test_exact_volume_memory_stays_blocked():
-    import tracemalloc
-
     gen = RandomStream(37).substream("memory").generator()
     rows = 0.2 + gen.random((20, 20))
     corners = 8.0 * rows / rows.sum(axis=1, keepdims=True)  # equal sums: incomparable
@@ -194,6 +194,57 @@ def test_pair_functions_agree_with_probe_on_transcript():
         assert np.array_equal(pair.fplus_values(pts), probe)
         assert np.array_equal(pair.fminus_values(pts), probe)
         assert pair.gap_low >= pair.guaranteed_gap - 1e-12
+
+
+def _dense_holders(points, corners):
+    return (points[:, None, :] <= corners[None, :, :]).all(axis=2).sum(axis=1)
+
+
+def test_dominance_kernel_does_not_depend_on_row_blocks(monkeypatch):
+    # Lattice corners repeat and dominate each other; 7-pair blocks split
+    # the rows unevenly (1 row per block against many boxes, 2 against 3).
+    gen = RandomStream(37).substream("kernel-blocks").generator()
+    boxes = gen.integers(0, 5, size=(40, 3)) / 4
+    queries = np.vstack([boxes, gen.random((51, 3))])
+    pairs = [monotone.build_fooling_pair(boxes, 3),
+             monotone.build_fooling_pair(np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.0],
+                                                   [0.5, 0.0, 0.25], [1.0, 1.0, 0.0]]), 3)]
+    unique = np.unique(boxes, axis=0)
+    expected = [unique[_dense_holders(unique, unique) == 1]]
+    for pair in pairs:
+        assert 0 < pair.ell < pair.n
+        expected.append(np.where(_dense_holders(queries, pair.lower_corners) > 0, 0.0, 1.0))
+        expected.append(np.where(_dense_holders(-queries, -pair.upper_corners) > 0, 1.0, 0.0))
+    for block in (monotone._BLOCK_ELEMENTS, 7):
+        monkeypatch.setattr(monotone, "_BLOCK_ELEMENTS", block)
+        got = [monotone._maximal_boxes(boxes)]
+        for pair in pairs:
+            got += [pair.fplus_values(queries), pair.fminus_values(queries)]
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+
+def test_upper_boxes_are_tested_without_rounding():
+    # 1 - 1e-17 == 1 - 2e-17, so a box test on 1 - x would put (1e-17, 1)
+    # into the upper box [(2e-17, 1), 1]; it lies outside.
+    pair = monotone.build_fooling_pair(np.array([[2e-17, 1.0]]), 2)
+    assert pair.ell == 0
+    assert pair.fminus_values(np.array([[1e-17, 1.0], [2e-17, 1.0]])).tolist() == [0.0, 1.0]
+
+
+def test_pair_values_hold_no_point_box_axis_temporary():
+    # (n, k, d) booleans would take 10 MB here: 1000 points, ~500 boxes a side, d=20
+    gen = RandomStream(41).substream("kernel-memory").generator()
+    pts = gen.random((1000, 20))
+    pair = monotone.build_fooling_pair(pts, 20)
+    tracemalloc.start()
+    try:
+        pair.fplus_values(pts)
+        pair.fminus_values(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_pair_functions_are_monotone():

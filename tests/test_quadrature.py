@@ -31,7 +31,6 @@ def test_staircase_ramp_two_cells():
     assert bracket.certified_error == 0.25
     assert bracket.samples_used == 3
     assert bracket.lower_sum <= 0.5 <= bracket.upper_sum
-    assert bracket.monotone_ok
 
 
 def test_staircase_constant_is_exact():
@@ -46,12 +45,6 @@ def test_staircase_brackets_the_step_integrand():
     bracket = quadrature.staircase_monotone(algorithms.make_oracle("threshold", 2), 4)
     assert bracket.lower_sum <= 0.5 <= bracket.upper_sum
     assert bracket.certified_error <= 2 / (2 * 4)
-
-
-def test_staircase_flags_non_monotone_oracles():
-    oracle = EvalOracle(dim=1, fn=lambda pts: 1.0 - pts[:, 0])
-    bracket = quadrature.staircase_monotone(oracle, 4)
-    assert not bracket.monotone_ok
 
 
 def test_staircase_brackets_random_monotone_mixtures():
