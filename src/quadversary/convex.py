@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -62,7 +61,7 @@ __all__ = [
 CERTIFICATION_LIMIT = 10.0 / 11.0
 # Golden-section tolerance on the Chernoff rate.
 _RATE_TOL = 1e-9
-# Height grid that find_height_threshold scans, and its bisection tolerance.
+# Height grid that find_height_threshold bisects, and its final tolerance.
 _HEIGHT_STEP = 1e-3
 _HEIGHT_TOL = 1e-6
 
@@ -238,14 +237,13 @@ class McEstimate:
 
     value: float
     std_error: float
-    samples: int
 
 
 def _mc_mean(values: np.ndarray) -> McEstimate:
     m = values.size
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return McEstimate(mean, se, m)
+    return McEstimate(mean, se)
 
 
 def maximal_convex_integral(
@@ -279,7 +277,7 @@ def empirical_error_lower_bound(
     least half their integral difference on one of them.
     """
     est = maximal_convex_integral(samples, num_points, stream)
-    return McEstimate(est.value / 2.0, est.std_error / 2.0, est.samples)
+    return McEstimate(est.value / 2.0, est.std_error / 2.0)
 
 
 def caratheodory_cube_decomposition(
@@ -519,11 +517,14 @@ class HeightThreshold:
 def find_height_threshold() -> HeightThreshold:
     """Find the largest height below which the Chernoff factor certifies.
 
-    Scans heights upward on a dense grid (certification must hold at every
-    grid point up to the result), then bisects the first failing interval.
-    The accuracy threshold is exactly half the height.  Certification failing
-    already at height zero would contradict the closed-form argument and
-    raises an error.
+    The factor's minimum g_min(s) is nondecreasing in s, as its s-derivative
+    is the integral of 2 alpha x exp(alpha (2 s x - x^2)) >= 0 for alpha >= 0.
+    So the certified heights form an interval: bisecting the grid index finds
+    the first failing point of a dense grid, and a finer bisection of the
+    interval below it gives the result.  The accuracy threshold is exactly
+    half the height.  Certification failing already at height zero, or never
+    failing on the grid, would contradict the closed-form argument and raises
+    an error.
     """
 
     def certified(t: float) -> bool:
@@ -531,17 +532,16 @@ def find_height_threshold() -> HeightThreshold:
 
     if not certified(0.0):
         raise ConvergenceError("certification fails at height zero; inconsistent setup")
-    steps = int(round(1.0 / _HEIGHT_STEP))
-    t_ok, t_bad = 0.0, None
-    for k in range(1, steps + 1):
-        t = k * _HEIGHT_STEP
-        if certified(t):
-            t_ok = t
-        else:
-            t_bad = t
-            break
-    if t_bad is None:
+    k_ok, k_bad = 0, int(round(1.0 / _HEIGHT_STEP))
+    if certified(k_bad * _HEIGHT_STEP):
         raise ConvergenceError("certification never fails on (0, 1]; inconsistent setup")
+    while k_bad - k_ok > 1:
+        k = (k_ok + k_bad) // 2
+        if certified(k * _HEIGHT_STEP):
+            k_ok = k
+        else:
+            k_bad = k
+    t_ok, t_bad = k_ok * _HEIGHT_STEP, k_bad * _HEIGHT_STEP
     while t_bad - t_ok > _HEIGHT_TOL:
         mid = 0.5 * (t_ok + t_bad)
         if certified(mid):
@@ -577,8 +577,9 @@ def hull_volume_upper_bound(n: int, dim: int, t0: float) -> float:
 def complexity_lower_bound(eps: float, dim: int, eps0: float) -> int:
     """Minimal query count forced on any algorithm with error <= eps.
 
-    Evaluates ceil((11/10)^d (1 - eps/eps0) / (d+1)) in exact rational
-    arithmetic; accuracies at or above the threshold eps0 cost nothing.
+    Evaluates ceil((11/10)^d (1 - eps/eps0) / (d+1)) in exact integer
+    arithmetic, with eps = p / q and eps0 = p0 / q0 taken exactly from the
+    floats; accuracies at or above the threshold eps0 cost nothing.
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
@@ -588,9 +589,6 @@ def complexity_lower_bound(eps: float, dim: int, eps0: float) -> int:
         raise DomainError("eps0 must lie in (0, 1/2)")
     if eps >= eps0:
         return 0
-    bound = (
-        (Fraction(11, 10) ** dim)
-        * (1 - Fraction(eps) / Fraction(eps0))
-        / (dim + 1)
-    )
-    return max(0, math.ceil(bound))
+    p, q = eps.as_integer_ratio()
+    p0, q0 = eps0.as_integer_ratio()
+    return -(-(11**dim * (q * p0 - p * q0)) // (10**dim * q * p0 * (dim + 1)))

@@ -101,13 +101,6 @@ class Transcript:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return np.array_equal(self.points, other.points) and np.array_equal(
-            self.values, other.values
-        )
-
 
 @runtime_checkable
 class AdaptiveCubature(Protocol):

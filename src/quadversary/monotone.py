@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,6 +32,7 @@ __all__ = [
 
 EXACT_CORNER_CAP = 20  # inclusion-exclusion (2^k subsets) up to this many boxes
 _BLOCK_ELEMENTS = 1 << 21  # largest temporary array of one block
+_FILTER_MIN_ROWS = 1024  # threshold_values sums smaller inputs directly
 
 
 class ConvergenceError(RuntimeError):
@@ -40,9 +40,32 @@ class ConvergenceError(RuntimeError):
 
 
 def threshold_values(points: np.ndarray) -> np.ndarray:
-    """0/1 step at half the coordinate sum of each (N, d) row; the boundary maps to 1."""
+    """0/1 step at half the coordinate sum of each (N, d) row; the boundary maps to 1.
+
+    The labels are those of ``points.sum(axis=1) >= d / 2``, found by a
+    filtered predicate (Shewchuk, DCG 18, 1997).  One matrix product sums
+    every row in some order.  Two summation orders of a row differ by at most
+    2 gamma_{d-1} sum|x_i| (Higham, 2002, sec. 4.2), with gamma_k = k u / (1 - k u)
+    and u = 2^-53, which is below the margin 2 gamma_d d max|x|.  So a fast sum
+    more than the margin from d/2 lies on the same side as ``sum(axis=1)``.
+    The rows within the margin are copied out and summed by ``sum(axis=1)``,
+    which sums each row of a C-contiguous array the same way whatever the
+    other rows.  Inputs of fewer than ``_FILTER_MIN_ROWS`` rows, inputs that
+    are not C-contiguous, and inputs whose sums could overflow skip the filter.
+    """
     pts = np.asarray(points, dtype=float)
-    return (pts.sum(axis=1) >= pts.shape[1] / 2.0).astype(int)
+    d = pts.shape[1]
+    half = d / 2.0
+    if pts.shape[0] >= _FILTER_MIN_ROWS and pts.flags.c_contiguous:
+        scale = d * max(abs(pts.max()), abs(pts.min()))  # bounds sum|x_i| of every row
+        if scale < 2.0**1000:  # false for NaN
+            fast = pts @ np.ones(d)
+            labels = (fast >= half).astype(int)
+            gamma = d * 2.0**-53 / (1.0 - d * 2.0**-53)
+            unsure = np.flatnonzero(~(np.abs(fast - half) > 2.0 * gamma * scale))
+            labels[unsure] = pts[unsure].sum(axis=1) >= half
+            return labels
+    return (pts.sum(axis=1) >= half).astype(int)
 
 
 @dataclass(frozen=True)
@@ -250,8 +273,9 @@ def error_lower_bound(n: int, dim: int) -> float:
 def complexity_lower_bound(eps: float, dim: int) -> int:
     """Minimal query count forced on any algorithm with error <= eps.
 
-    Evaluates ceil(2^d (1 - 2 eps)) in exact rational arithmetic so the
-    integer is right for every d.  Accuracies eps >= 1/2 cost nothing.
+    Evaluates ceil(2^d (1 - 2 eps)) in exact integer arithmetic, with
+    eps = p / q taken exactly from the float, so the integer is right for
+    every d.  Accuracies eps >= 1/2 cost nothing.
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
@@ -259,5 +283,5 @@ def complexity_lower_bound(eps: float, dim: int) -> int:
         raise DomainError("eps must be positive")
     if eps >= 0.5:
         return 0
-    bound = (Fraction(2) ** dim) * (1 - 2 * Fraction(eps))
-    return max(0, math.ceil(bound))
+    p, q = eps.as_integer_ratio()
+    return -(-((q - 2 * p) << dim) // q)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -394,6 +395,33 @@ def test_height_threshold_properties():
     assert not above.certified
 
 
+def _scanned_height_threshold() -> convex.HeightThreshold:
+    """find_height_threshold by a linear scan of every grid point, then bisection."""
+
+    def certified(t):
+        return convex.chernoff_factor_min((1.0 + t) / 4.0).certified
+
+    t_ok = 0.0
+    for k in range(1, int(round(1.0 / convex._HEIGHT_STEP)) + 1):
+        t_bad = k * convex._HEIGHT_STEP
+        if not certified(t_bad):
+            break
+        t_ok = t_bad
+    while t_bad - t_ok > convex._HEIGHT_TOL:
+        mid = 0.5 * (t_ok + t_bad)
+        t_ok, t_bad = (mid, t_bad) if certified(mid) else (t_ok, mid)
+    return convex.HeightThreshold(t_ok, t_ok / 2.0, convex.chernoff_factor_min((1.0 + t_ok) / 4.0))
+
+
+def test_height_threshold_bisection_equals_the_linear_scan():
+    threshold = convex.find_height_threshold()
+    assert threshold == _scanned_height_threshold()
+    assert threshold.t0 == GOLDEN_T0
+    # g_min is nondecreasing in the height, so every grid point below t0 certifies
+    below = np.arange(int(threshold.t0 / convex._HEIGHT_STEP) + 1) * convex._HEIGHT_STEP
+    assert all(convex.chernoff_factor_min((1.0 + t) / 4.0).certified for t in below)
+
+
 def test_hull_volume_upper_bound_shapes():
     t0 = convex.default_height_threshold().t0
     assert convex.hull_volume_upper_bound(0, 7, t0) == 1.0 - t0
@@ -417,6 +445,28 @@ def test_complexity_lower_bound_values():
     assert convex.complexity_lower_bound(1e-3, 60, eps0) > convex.complexity_lower_bound(
         1e-3, 40, eps0
     )
+
+
+def _fraction_bound(eps, d, eps0):
+    bound = Fraction(11, 10) ** d * (1 - Fraction(eps) / Fraction(eps0)) / (d + 1)
+    return max(0, math.ceil(bound))
+
+
+def test_complexity_lower_bound_equals_the_rational_formula():
+    gen = np.random.default_rng(6)
+    eps0 = convex.default_height_threshold().eps0
+    for _ in range(2000):
+        e, e0 = sorted(float(x) for x in gen.random(2) * 0.5)
+        d = int(gen.integers(1, 401))
+        assert convex.complexity_lower_bound(e, d, e0) == _fraction_bound(e, d, e0)
+    for eps, e0 in ((0.1, 1 / 3), (1 / 3, 0.4), (0.1, eps0), (2.0**-60, 0.1), (1e-15, eps0)):
+        for d in (1, 7, 64, 399):
+            assert convex.complexity_lower_bound(eps, d, e0) == _fraction_bound(eps, d, e0)
+    for eps in (eps0, 0.1, 0.5, 0.7):
+        assert convex.complexity_lower_bound(eps, 12, eps0) == 0
+    # the whole bench table: bounds --class convex --eps 0.01 --dmax 2000
+    for d in range(1, 2001):
+        assert convex.complexity_lower_bound(0.01, d, eps0) == _fraction_bound(0.01, d, eps0)
 
 
 def test_hull_volume_against_exact_small_d_polytope_volume():

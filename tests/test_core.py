@@ -16,6 +16,10 @@ from quadversary.core import (
 )
 
 
+def _same_transcript(a, b) -> bool:
+    return np.array_equal(a.points, b.points) and np.array_equal(a.values, b.values)
+
+
 def test_point_validation():
     assert as_points([[0.0, 1.0, 0.5]], 3).shape == (1, 3)
     assert as_points([], 3).shape == (0, 3)
@@ -121,7 +125,9 @@ def test_replay_same_seed_reproduces_transcript():
         alg = algorithms.make_algorithm("uniform-random", 4, 10, RandomStream(99))
         transcript, output = run_algorithm(alg, oracle, budget=10)
         runs.append((transcript, output))
-    assert runs[0] == runs[1]
+    (t1, out1), (t2, out2) = runs
+    assert _same_transcript(t1, t2)
+    assert out1 == out2
 
 
 def test_fooling_principle_same_transcript_same_output():
@@ -167,7 +173,7 @@ def test_fooling_principle_holds_for_adaptive_queries():
     pair = monotone.build_fooling_pair(transcript.points, 4)
     for sibling in (EvalOracle(4, pair.fplus_values), EvalOracle(4, pair.fminus_values)):
         t2, out2 = run_algorithm(alg, sibling, budget=12)
-        assert t2 == transcript
+        assert _same_transcript(t2, transcript)
         assert out2 == output
 
 
@@ -189,7 +195,7 @@ def test_grid_and_vertex_scan_queries_are_deterministic():
     oracle = algorithms.make_oracle("affine", 2)
     t1, _ = run_algorithm(grid, oracle, budget=5)
     t2, _ = run_algorithm(grid, oracle, budget=5)
-    assert t1 == t2
+    assert _same_transcript(t1, t2)
     vert = algorithms.make_algorithm("vertex-scan", 2, 10, RandomStream(0))
     t3, _ = run_algorithm(vert, oracle, budget=10)
     assert t3.n == 4  # only 4 vertices exist at d=2

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,66 @@ def test_threshold_is_monotone(a, b):
     x = np.minimum(a[:d], b[:d])
     y = np.maximum(a[:d], b[:d])
     assert monotone.threshold_values([x])[0] <= monotone.threshold_values([y])[0]
+
+
+def _summed_labels(points):
+    """The probe as a plain row sum: the labels threshold_values must return."""
+    pts = np.asarray(points, dtype=float)
+    return (pts.sum(axis=1) >= pts.shape[1] / 2.0).astype(int)
+
+
+def _assert_probe_labels(pts):
+    got = monotone.threshold_values(pts)
+    assert got.dtype == _summed_labels(pts).dtype
+    assert np.array_equal(got, _summed_labels(pts))
+
+
+def test_threshold_labels_equal_row_sums_on_lattice_centres():
+    # Many centre sums are exactly d/2 in real arithmetic, so rounding decides them.
+    for m in (3, 5, 6, 7, 10):
+        centres = (2 * np.arange(m) + 1) / (2 * m)
+        for d in range(1, 7):
+            lattice = np.stack(np.meshgrid(*[centres] * d, indexing="ij"), axis=-1).reshape(-1, d)
+            _assert_probe_labels(lattice)
+
+
+def test_threshold_labels_equal_row_sums_a_few_ulps_from_half():
+    gen = np.random.default_rng(12)
+    for d in (1, 2, 3, 10, 17, 64):
+        for rows in (5, 4 * monotone._FILTER_MIN_ROWS):
+            pts = gen.random((rows, d))
+            pts *= (d / 2.0) / pts.sum(axis=1, keepdims=True)
+            col = gen.integers(0, d, rows)
+            moved = pts[np.arange(rows), col]
+            for _ in range(gen.integers(1, 5)):
+                moved = np.nextafter(moved, np.where(gen.random(rows) < 0.5, -np.inf, np.inf))
+            pts[np.arange(rows), col] = moved
+            _assert_probe_labels(pts)
+            _assert_probe_labels(np.asfortranarray(pts))  # another summation order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda d: st.lists(st.lists(unit, min_size=d, max_size=d), min_size=1, max_size=8)
+    ),
+    st.sampled_from([1, monotone._FILTER_MIN_ROWS]),
+)
+def test_threshold_labels_equal_row_sums(rows, copies):
+    # Copies of a few rows reach the filtered path above the row cutoff.
+    _assert_probe_labels(np.tile(np.array(rows), (copies, 1)))
+
+
+def test_threshold_labels_on_empty_and_non_finite_rows():
+    for d in (1, 4):
+        assert monotone.threshold_values(np.zeros((0, d))).shape == (0,)
+    rows = monotone._FILTER_MIN_ROWS
+    big = np.tile([[1e308, 1e308, -1e308, -1e308, -1e308]], (rows, 1))
+    odd = np.full((rows, 3), 0.5)
+    odd[::3, 0], odd[1::3, 1] = np.nan, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_probe_labels(big)  # partial sums overflow in some orders
+        _assert_probe_labels(odd)
 
 
 def test_pair_membership_rules():
@@ -284,6 +346,23 @@ def test_complexity_lower_bound_values():
     assert monotone.complexity_lower_bound(0.49, 10) == 21
     with pytest.raises(DomainError):
         monotone.complexity_lower_bound(0.0, 3)
+
+
+def _fraction_bound(eps, d):
+    return max(0, math.ceil(Fraction(2) ** d * (1 - 2 * Fraction(eps))))
+
+
+def test_complexity_lower_bound_equals_the_rational_formula():
+    gen = np.random.default_rng(5)
+    cases = [(float(e), int(d)) for e, d in zip(gen.random(2000) * 0.5, gen.integers(1, 401, 2000))]
+    cases += [(eps, d) for eps in (0.1, 1 / 3, 0.5 - 2.0**-53, 2.0**-60) for d in (1, 7, 64, 399)]
+    for eps, d in cases:
+        assert monotone.complexity_lower_bound(eps, d) == _fraction_bound(eps, d)
+    for eps in (0.5, 0.5000001, 3.0):
+        assert monotone.complexity_lower_bound(eps, 9) == 0
+    # the whole bench table: bounds --class monotone --eps 0.25 --dmax 2000
+    for d in range(1, 2001):
+        assert monotone.complexity_lower_bound(0.25, d) == _fraction_bound(0.25, d)
 
 
 def test_certificate_dominates_closed_form_for_every_algorithm():
