@@ -50,21 +50,20 @@ def threshold_values(points: np.ndarray) -> np.ndarray:
     more than the margin from d/2 lies on the same side as ``sum(axis=1)``.
     The rows within the margin are copied out and summed by ``sum(axis=1)``,
     which sums each row of a C-contiguous array the same way whatever the
-    other rows.  Inputs of fewer than ``_FILTER_MIN_ROWS`` rows, inputs that
-    are not C-contiguous, and inputs whose sums could overflow skip the filter.
+    other rows; a NaN or infinite margin leaves every row to it.  Inputs of
+    fewer than ``_FILTER_MIN_ROWS`` rows or not C-contiguous skip the filter.
     """
     pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
     half = d / 2.0
     if pts.shape[0] >= _FILTER_MIN_ROWS and pts.flags.c_contiguous:
         scale = d * max(abs(pts.max()), abs(pts.min()))  # bounds sum|x_i| of every row
-        if scale < 2.0**1000:  # false for NaN
-            fast = pts @ np.ones(d)
-            labels = (fast >= half).astype(int)
-            gamma = d * 2.0**-53 / (1.0 - d * 2.0**-53)
-            unsure = np.flatnonzero(~(np.abs(fast - half) > 2.0 * gamma * scale))
-            labels[unsure] = pts[unsure].sum(axis=1) >= half
-            return labels
+        fast = pts @ np.ones(d)
+        labels = (fast >= half).astype(int)
+        gamma = d * 2.0**-53 / (1.0 - d * 2.0**-53)
+        unsure = np.flatnonzero(~(np.abs(fast - half) > 2.0 * gamma * scale))
+        labels[unsure] = pts[unsure].sum(axis=1) >= half
+        return labels
     return (pts.sum(axis=1) >= half).astype(int)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadversary import monotone
+from quadversary import monotone, quadrature
 from quadversary.acceptance import grid_union_volume
 from quadversary.core import DomainError, RandomStream
 
@@ -50,6 +50,14 @@ def test_threshold_labels_equal_row_sums_on_lattice_centres():
         for d in range(1, 7):
             lattice = np.stack(np.meshgrid(*[centres] * d, indexing="ij"), axis=-1).reshape(-1, d)
             _assert_probe_labels(lattice)
+
+
+def test_threshold_labels_equal_row_sums_on_staircase_slabs():
+    # The slabs the staircase rules feed the probe; with m a power of two,
+    # every node sum is exact, so each row summing to d/2 is left to the fallback.
+    for m, d in ((2, 6), (3, 6), (4, 8), (8, 6), (10, 5), (32, 3)):
+        for _, slab in quadrature._grid_slabs(np.linspace(0.0, 1.0, m + 1), d):
+            _assert_probe_labels(slab)
 
 
 def test_threshold_labels_equal_row_sums_a_few_ulps_from_half():
