@@ -164,7 +164,7 @@ def criterion_06_maximal_convex_correctness() -> str:
     worst_1d = 0.0
     for k in range(1, 6):
         pts = gen.random(k)
-        evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(pts[:, None], 1))
+        evaluator = convex.MaximalConvexEvaluator(pts[:, None], 1)
         dev = np.abs(evaluator.values(xs[:, None]) - maximal_convex_1d(xs, pts)).max()
         worst_1d = max(worst_1d, float(dev))
     _require(worst_1d <= 1e-8, f"1-D oracle deviation {worst_1d:.1e} > 1e-8")
@@ -172,9 +172,9 @@ def criterion_06_maximal_convex_correctness() -> str:
     checks = 0
     worst_vanish = 0.0
     for d in (2, 3, 4, 5, 6):
-        samples = convex.SampleSet(gen.random((min(10, d + 4), d)), d)
-        evaluator = convex.MaximalConvexEvaluator(samples)
-        worst_vanish = max(worst_vanish, float(evaluator.values(samples.points).max()))
+        samples = gen.random((min(10, d + 4), d))
+        evaluator = convex.MaximalConvexEvaluator(samples, d)
+        worst_vanish = max(worst_vanish, float(evaluator.values(samples).max()))
         x = gen.random((2000, d))
         y = gen.random((2000, d))
         fmid = evaluator.values((x + y) / 2.0)
@@ -193,10 +193,10 @@ def criterion_07_hull_volume_statistical_bound() -> str:
     for trial in range(20):
         n = int(gen.integers(1, 9))
         vertices = np.unique(gen.integers(0, 2, size=(n, 8)).astype(float), axis=0)
-        samples = convex.SampleSet(vertices, 8)
-        est = convex.maximal_convex_integral(samples, 100_000, RandomStream(308).substream(trial))
+        stream = RandomStream(308).substream(trial)
+        est = convex.maximal_convex_integral(vertices, 8, 100_000, stream)
         hull_volume = 1.0 - est.value
-        bound = convex.hull_volume_upper_bound(samples.n, 8, t0)
+        bound = convex.hull_volume_upper_bound(len(vertices), 8, t0)
         _require(hull_volume <= bound + 3.0 * est.std_error, f"trial {trial}: {est}")
     return "20 vertex-set hull volumes below the closed-form cap (d=8, 1e5 samples)"
 
@@ -209,9 +209,7 @@ def criterion_08_ball_cover_has_no_violations() -> str:
         count = int(gen.integers(1, 2**d + 1))
         chosen = gen.choice(2**d, size=count, replace=False)
         vertices = np.array([[(v >> k) & 1 for k in range(d)] for v in chosen], dtype=float)
-        result = convex.elekes_cover_check(
-            convex.SampleSet(vertices, d), 10_000, RandomStream(310).substream(trial)
-        )
+        result = convex.elekes_cover_check(vertices, 10_000, RandomStream(310).substream(trial))
         _require(result.ok, f"violation at {result.counterexample}")
     return "20 instances x 1e4 sampled hull points all inside the vertex balls"
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -137,10 +138,12 @@ def cmd_adversary(args) -> int:
             )
         out = _resolve_out(args.out, f"adversary.{args.format}")
         if args.format == "json":
-            obj = pair.to_json_obj()
-            obj["error_lower_bound"] = certified
-            obj["theorem_lower_bound"] = theorem
-            _write_json(out, obj)
+            _write_json(out, {
+                "d": dim, "L": pair.lower_corners.tolist(), "U": pair.upper_corners.tolist(),
+                "gap_low": pair.gap_low, "gap_high": pair.gap_high,
+                "guaranteed_gap": pair.guaranteed_gap, "provenance": pair.provenance,
+                "error_lower_bound": certified, "theorem_lower_bound": theorem,
+            })
         else:
             header = ["d", "n", "ell", "gap_low", "gap_high", "guaranteed_gap", "provenance",
                       "error_lower_bound"]
@@ -154,12 +157,11 @@ def cmd_adversary(args) -> int:
         raise ConfigError("mc-samples must be at least 1")
     oracle = algorithms.zero_oracle(dim)
     transcript, _ = run_algorithm(alg, oracle, args.budget)
-    samples = convex.SampleSet(transcript.points, dim)
     estimate = convex.empirical_error_lower_bound(
-        samples, args.mc_samples, stream.substream("hull-mc")
+        transcript.points, dim, args.mc_samples, stream.substream("hull-mc")
     )
     threshold = convex.default_height_threshold()
-    theorem = _convex_theorem_bound(samples.n, dim, threshold.t0)
+    theorem = _convex_theorem_bound(transcript.n, dim, threshold.t0)
     out = _resolve_out(args.out, f"adversary.{args.format}")
     header = [
         "d",
@@ -172,7 +174,7 @@ def cmd_adversary(args) -> int:
     ]
     rows = [[
         dim,
-        samples.n,
+        transcript.n,
         estimate.value,
         estimate.std_error,
         estimate.value - 3.0 * estimate.std_error,
@@ -181,7 +183,7 @@ def cmd_adversary(args) -> int:
     ]]
     _write_report(out, header, rows, args.format)
     return _finish(out, "adversary", {**config, "mc_samples": args.mc_samples, "t0": threshold.t0},
-                   f"adversary convex d={dim} n={samples.n} stat>={estimate.value!r}")
+                   f"adversary convex d={dim} n={transcript.n} stat>={estimate.value!r}")
 
 
 def cmd_bounds(args) -> int:
@@ -214,10 +216,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gscan(args) -> int:
-    if args.tmin < 0.0 or args.tmax > 1.0 or args.tmin > args.tmax:
+    if not (0.0 <= args.tmin <= args.tmax <= 1.0):
         raise ConfigError("need 0 <= tmin <= tmax <= 1")
-    if args.tstep <= 0.0:
-        raise ConfigError("tstep must be positive")
+    if not (args.tstep >= 1e-12):  # t advances in steps rounded to 1e-12
+        raise ConfigError("tstep must be at least 1e-12")
     rows = []
     t = args.tmin
     while t <= args.tmax + 1e-12:
@@ -240,7 +242,8 @@ def cmd_gscan(args) -> int:
 def cmd_t0(args) -> int:
     threshold = convex.default_height_threshold()
     out = _resolve_out(args.out, "t0.json")
-    _write_json(out, threshold.to_json_obj())
+    _write_json(out, {**dataclasses.asdict(threshold.bound_at_t0),
+                      "t0": threshold.t0, "eps0": threshold.eps0})
     return _finish(out, "t0", {}, f"t0={threshold.t0!r} eps0={threshold.eps0!r}")
 
 

@@ -1,6 +1,7 @@
 """Adversary for convex integrands: maximal fooling function and volume bounds.
 
-Against the zero integrand an algorithm commits to some sample points P.  The
+Against the zero integrand an algorithm commits to some sample points P,
+passed as a plain (n, d) array and checked once by ``core.as_points``.  The
 largest convex [0,1]-valued function vanishing on P has, as the region above
 its graph, the convex hull of P at height 0 together with the full top face
 at height 1; its value at x is found by a small linear program, and its
@@ -42,7 +43,6 @@ __all__ = [
     "HeightThreshold",
     "MaximalConvexEvaluator",
     "McEstimate",
-    "SampleSet",
     "cap_volume_mc",
     "caratheodory_cube_decomposition",
     "chernoff_factor",
@@ -64,25 +64,6 @@ _RATE_TOL = 1e-9
 # Height grid that find_height_threshold bisects, and its final tolerance.
 _HEIGHT_STEP = 1e-3
 _HEIGHT_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Sample points in the unit cube, stored as an (n, d) array."""
-
-    points: np.ndarray
-    dim: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", as_points(self.points, self.dim))
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @staticmethod
-    def empty(dim: int) -> "SampleSet":
-        return SampleSet(np.zeros((0, dim)), dim)
 
 
 def _lift(points: np.ndarray) -> np.ndarray:
@@ -116,6 +97,8 @@ _NEAR_MIN = 1e-9
 class MaximalConvexEvaluator:
     """Evaluates the largest [0,1]-valued convex function vanishing on P.
 
+    P is an (n, d) array of points in the unit cube; n may be 0.
+
     The underlying LP optimum is piecewise linear in the query point, so the
     evaluator caches optimal bases with their duals y and inverses: a cached
     basis whose basic solution stays feasible for a query certifies that
@@ -136,10 +119,10 @@ class MaximalConvexEvaluator:
     call at a time gives bitwise what one call on all of them gives.
     """
 
-    def __init__(self, samples: SampleSet):
-        self.samples = samples
-        self._constraints = _lift(samples.points)
-        self._objective = np.ones(samples.n)
+    def __init__(self, points: np.ndarray, dim: int):
+        self.dim = dim
+        self._constraints = _lift(as_points(points, dim))
+        self._objective = np.ones(self._constraints.shape[1])
         m = self._constraints.shape[0]
         # Duals and inverses of the cached bases, in buffers that double
         # when full; ``_rows`` maps a basis to its row.
@@ -170,9 +153,9 @@ class MaximalConvexEvaluator:
 
     def values(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate an (N, d) batch of query points."""
-        pts = as_points(queries, self.samples.dim)
+        pts = as_points(queries, self.dim)
         n_q = pts.shape[0]
-        if self.samples.n == 0:
+        if self._objective.size == 0:
             return np.ones(n_q)  # no mass at height 0: the hull is the top face
         best = np.empty(n_q)
         for lo in range(0, n_q, _QUERY_BLOCK):
@@ -188,8 +171,7 @@ class MaximalConvexEvaluator:
         self._sweep(0, len(self._rows), rhs, best, unresolved, low)
         while unresolved.any():
             todo = np.flatnonzero(unresolved)[: self._batch]
-            program = lp.LinearProgram(self._objective, self._constraints, rhs[:, todo].T)
-            solution = lp.solve(program)
+            solution = lp.solve(self._objective, self._constraints, rhs[:, todo].T)
             best[todo] = solution.value
             unresolved[todo] = False
             first = len(self._rows)
@@ -247,9 +229,9 @@ def _mc_mean(values: np.ndarray) -> McEstimate:
 
 
 def maximal_convex_integral(
-    samples: SampleSet, num_points: int, stream: RandomStream
+    points: np.ndarray, dim: int, num_points: int, stream: RandomStream
 ) -> McEstimate:
-    """Monte Carlo integral of the maximal vanishing convex function.
+    """Monte Carlo integral of the maximal convex function vanishing on (n, d) points.
 
     One minus the returned mean estimates the hull volume.  Points come from
     the ``hull-integral`` substream in labeled blocks, so the estimate depends
@@ -258,25 +240,25 @@ def maximal_convex_integral(
     """
     if num_points < 1:
         raise DomainError("need at least one sample point")
-    evaluator = MaximalConvexEvaluator(samples)
+    evaluator = MaximalConvexEvaluator(points, dim)
     values = np.empty(num_points)
     done = 0
-    for pts in uniform_blocks(stream.substream("hull-integral"), num_points, samples.dim):
+    for pts in uniform_blocks(stream.substream("hull-integral"), num_points, dim):
         values[done : done + pts.shape[0]] = evaluator.values(pts)
         done += pts.shape[0]
     return _mc_mean(values)
 
 
 def empirical_error_lower_bound(
-    samples: SampleSet, num_points: int, stream: RandomStream
+    points: np.ndarray, dim: int, num_points: int, stream: RandomStream
 ) -> McEstimate:
-    """Statistical error floor for any algorithm whose probe transcript is P.
+    """Statistical error floor for any algorithm that queried the (n, d) points P.
 
     Half the integral estimate: the algorithm cannot distinguish the zero
     function from the maximal vanishing convex function, so it errs by at
     least half their integral difference on one of them.
     """
-    est = maximal_convex_integral(samples, num_points, stream)
+    est = maximal_convex_integral(points, dim, num_points, stream)
     return McEstimate(est.value / 2.0, est.std_error / 2.0)
 
 
@@ -309,22 +291,19 @@ def caratheodory_cube_decomposition(
     return result
 
 
-def vertexize(samples: SampleSet) -> SampleSet:
-    """Replace each sample by the cube vertices carrying it.
+def vertexize(points: np.ndarray, dim: int) -> np.ndarray:
+    """Replace each of the (n, d) points by the cube vertices carrying it.
 
-    The union over all samples has at most (d+1) n vertices and its hull
-    contains every original sample, so the maximal vanishing convex function
+    The union over all points has at most (d+1) n vertices and its hull
+    contains every original point, so the maximal vanishing convex function
     can only decrease pointwise.  Vertices are deduplicated and ordered
-    lexicographically for reproducibility.
+    lexicographically for reproducibility, as a (k, d) array.
     """
     seen: set[tuple[int, ...]] = set()
-    for row in samples.points:
+    for row in as_points(points, dim):
         for vertex, _ in caratheodory_cube_decomposition(row):
             seen.add(vertex)
-    if not seen:
-        return SampleSet.empty(samples.dim)
-    rows = sorted(seen)
-    return SampleSet(np.array(rows, dtype=float), samples.dim)
+    return np.array(sorted(seen), dtype=float).reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -336,19 +315,17 @@ class CoverCheck:
     counterexample: np.ndarray | None = None
 
 
-def elekes_cover_check(
-    samples: SampleSet, trials: int, stream: RandomStream
-) -> CoverCheck:
-    """Sample convex combinations of P and test the ball-cover inclusion.
+def elekes_cover_check(vertices: np.ndarray, trials: int, stream: RandomStream) -> CoverCheck:
+    """Sample convex combinations of (k, d) cube vertices and test the ball cover.
 
     Every point of the hull of a vertex set lies in the ball spanned between
     some vertex v and the cube center: center (v + 1/2) / 2, radius
     sqrt(d) / 4, so v lies on its boundary.  A violation (none is expected)
     is returned as a counterexample.
     """
-    if samples.n == 0:
-        raise DomainError("cover check needs a nonempty vertex set")
-    verts = samples.points
+    verts = np.asarray(vertices, dtype=float)
+    if verts.ndim != 2 or verts.size == 0:
+        raise DomainError(f"cover check needs a nonempty (k, d) vertex set, got {verts.shape}")
     if not np.all((verts == 0.0) | (verts == 1.0)):
         raise DomainError("cover check applies to cube vertex sets")
     k, d = verts.shape
@@ -421,14 +398,6 @@ class ChernoffBound:
     alpha_star: float
     g_min: float
     certified: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "alpha_star": self.alpha_star,
-            "g_min": self.g_min,
-            "certified": self.certified,
-        }
 
 
 def _golden_section_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -507,11 +476,6 @@ class HeightThreshold:
     t0: float
     eps0: float
     bound_at_t0: ChernoffBound
-
-    def to_json_obj(self) -> dict:
-        obj = self.bound_at_t0.to_json_obj()
-        obj.update({"t0": self.t0, "eps0": self.eps0})
-        return obj
 
 
 def find_height_threshold() -> HeightThreshold:

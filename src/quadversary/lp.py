@@ -2,9 +2,9 @@
 
 Problems have the form  max c.v  subject to  A v <= b, v >= 0  with b >= 0,
 so the all-slack basis is feasible from the start and no phase-1 is needed.
-One call solves K programs that share A and c but not b: the right-hand
-side is always a (K, m) array, and every field of the solution carries the
-leading K axis.
+One call, ``solve(c, A, b)`` on plain arrays, solves K programs that share
+A and c but not b: the right-hand side is always a (K, m) array, and every
+field of the solution carries the leading K axis.
 
 The K programs start from the slack basis and pivot in lockstep on stacked
 (K, m, m) basis inverses.  Each step prices every program from its own
@@ -32,43 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FEASIBILITY_TOL", "LPError", "LinearProgram", "LPSolution", "solve"]
+__all__ = ["FEASIBILITY_TOL", "LPError", "LPSolution", "solve"]
 
 FEASIBILITY_TOL = 1e-9
 _TIE = 1e-12  # ratios this close to the minimum tie
+_MAX_PIVOTS = 10_000  # pivots one program may take
 
 
 class LPError(RuntimeError):
-    """Solver failure; carries the offending program for diagnostics."""
-
-    def __init__(self, message: str, program: "LinearProgram | None" = None):
-        super().__init__(message)
-        self.program = program
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """max objective . v  s.t.  constraints @ v <= rhs,  v >= 0.
-
-    ``rhs`` has shape (K, m): one row per program, all sharing the
-    constraints and the objective.
-    """
-
-    objective: np.ndarray
-    constraints: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.objective, dtype=float)
-        a = np.atleast_2d(np.asarray(self.constraints, dtype=float))
-        b = np.asarray(self.rhs, dtype=float)
-        if b.ndim != 2 or a.shape != (b.shape[1], c.size):
-            raise LPError(
-                f"inconsistent shapes: A{a.shape}, b{b.shape}, c({c.size},)", None
-            )
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", a)
-        object.__setattr__(self, "rhs", b)
+    """Solver failure; the message names the cause."""
 
 
 @dataclass(frozen=True)
@@ -92,25 +64,32 @@ class LPSolution:
     iterations: int
 
 
-def solve(program: LinearProgram, max_iterations: int = 10_000) -> LPSolution:
-    """Run the primal simplex method from the slack basis.
+def solve(objective, constraints, rhs) -> LPSolution:
+    """Maximize  objective . v  s.t.  constraints @ v <= rhs,  v >= 0.
 
-    ``iterations`` counts the pivots.  Feasibility and reduced costs are
-    judged to within :data:`FEASIBILITY_TOL`.
+    ``rhs`` has shape (K, m): one row per program, all sharing the (m, n)
+    ``constraints`` and the length-n ``objective``.  The primal simplex
+    method runs from the slack basis; ``iterations`` counts the pivots.
+    Feasibility and reduced costs are judged to within
+    :data:`FEASIBILITY_TOL`.
 
-    Raises :class:`LPError` for negative right-hand sides (outside this
-    solver's scope), unbounded problems, or more than ``max_iterations``
-    pivots in one program.
+    Raises :class:`LPError` for inconsistent shapes, negative right-hand
+    sides (outside this solver's scope), unbounded problems, or more than
+    ``_MAX_PIVOTS`` pivots in one program.
     """
     tol = FEASIBILITY_TOL
-    b = program.rhs
+    c = np.asarray(objective, dtype=float)
+    a = np.atleast_2d(np.asarray(constraints, dtype=float))
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim != 2 or a.shape != (b.shape[1], c.size):
+        raise LPError(f"inconsistent shapes: A{a.shape}, b{b.shape}, c({c.size},)")
     k, m = b.shape
-    n = program.objective.size
+    n = c.size
     if b.size and b.min() < -tol:
-        raise LPError("negative right-hand side; slack basis infeasible", program)
+        raise LPError("negative right-hand side; slack basis infeasible")
     b = np.maximum(b, 0.0)
-    columns = np.hstack((program.constraints, np.eye(m)))  # [A | I]
-    cost = np.concatenate((program.objective, np.zeros(m)))
+    columns = np.hstack((a, np.eye(m)))  # [A | I]
+    cost = np.concatenate((c, np.zeros(m)))
     basis = np.tile(np.arange(n, n + m), (k, 1))
 
     width = n + m  # larger than every column index, so it masks in argmin
@@ -139,7 +118,7 @@ def solve(program: LinearProgram, max_iterations: int = 10_000) -> LPSolution:
         column = np.matmul(inv, columns[:, into].T[..., None])[..., 0]
         blocking = column > tol
         if not blocking.any(axis=1).all():
-            raise LPError("objective unbounded above", program)
+            raise LPError("objective unbounded above")
         ratios = np.full(column.shape, np.inf)
         np.divide(np.maximum(values, 0.0), column, out=ratios, where=blocking)
         ties = ratios <= ratios.min(axis=1, keepdims=True) + _TIE
@@ -152,8 +131,8 @@ def solve(program: LinearProgram, max_iterations: int = 10_000) -> LPSolution:
         inv[at, out] = pivot_row
         bas[at, out] = into
         count += 1
-        if count.max() > max_iterations:
-            raise LPError(f"no optimum after {max_iterations} pivots", program)
+        if count.max() > _MAX_PIVOTS:
+            raise LPError(f"no optimum after {_MAX_PIVOTS} pivots")
         stalled = np.where(values[at, out] <= tol, stalled + 1, 0)
         bland |= stalled > m
 

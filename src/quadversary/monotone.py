@@ -224,13 +224,6 @@ class MonotoneFoolingPair:
         held = _holders(-as_points(points, self.dim), -self.upper_corners) > 0
         return np.where(held, 1.0, 0.0)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "d": self.dim, "L": self.lower_corners.tolist(), "U": self.upper_corners.tolist(),
-            "gap_low": self.gap_low, "gap_high": self.gap_high,
-            "guaranteed_gap": self.guaranteed_gap, "provenance": self.provenance,
-        }
-
 
 def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
     """Split transcript points by the probe's value and bracket the gap.

@@ -94,3 +94,71 @@ def test_every_public_name_has_a_reader_outside_tests():
             if n not in reads and n not in _UNREAD_BY_DESIGN:
                 unread.append(f"{name}.{n}")
     assert not unread, f"public names that only tests read: {unread}"
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, position or None) of each defaulted parameter.
+
+    Covers public functions and the public methods of public classes; a
+    method's position does not count ``self``, and a constructor is called by
+    its class name.
+    """
+    found = []
+
+    def visit(fn: ast.FunctionDef, callee: str, method: bool) -> None:
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        if method:
+            positional = positional[1:]
+        for i in range(len(positional) - len(a.defaults), len(positional)):
+            found.append((callee, positional[i], i))
+        found.extend((callee, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            visit(stmt, stmt.name, False)
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for fn in stmt.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    visit(fn, stmt.name, True)
+                elif isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    visit(fn, fn.name, True)
+    return found
+
+
+def _passed(path: Path) -> set[tuple[str, str | int]]:
+    """(callee name, keyword or position) of every argument the file's calls pass.
+
+    A ``*args`` or ``**kwargs`` argument passes every position or keyword.
+    """
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for i, arg in enumerate(node.args):
+            passed.add((callee, "*" if isinstance(arg, ast.Starred) else i))
+        passed.update((callee, kw.arg or "**") for kw in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    # a default that no caller overrides is a constant in disguise
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src").rglob("*.py")) + sorted((root / "bench").rglob("*.py"))
+    passed = set().union(*(_passed(p) for p in sources))
+
+    def is_passed(callee: str, param: str, position: int | None) -> bool:
+        ways = {(callee, param), (callee, "**")}
+        if position is not None:
+            ways |= {(callee, position), (callee, "*")}
+        return bool(ways & passed)
+
+    unpassed = [
+        f"{path.stem}.{callee}({param}=)"
+        for path in sorted(Path(quadversary.__file__).parent.glob("*.py"))
+        if path.name != "acceptance.py"
+        for callee, param, position in _defaulted_parameters(path)
+        if not is_passed(callee, param, position)
+    ]
+    assert not unpassed, f"defaulted parameters that no call in src/ or bench/ passes: {unpassed}"

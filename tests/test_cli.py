@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadversary import acceptance, cli
+from quadversary import acceptance, algorithms, cli, monotone
+from quadversary.core import RandomStream, run_algorithm
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -50,8 +51,15 @@ def test_adversary_monotone_json_export(tmp_path):
     ])
     assert code == 0
     obj = json.loads(out.read_text())
-    assert set(obj) >= {"d", "L", "U", "gap_low", "gap_high", "guaranteed_gap", "provenance"}
+    assert set(obj) == {"d", "L", "U", "gap_low", "gap_high", "guaranteed_gap", "provenance",
+                        "error_lower_bound", "theorem_lower_bound"}
     assert obj["d"] == 3
+    # L and U are the probe's split of the transcript
+    alg = algorithms.make_algorithm("grid-scan", 3, 4, RandomStream(0).substream("algorithm"))
+    points = run_algorithm(alg, algorithms.make_oracle("threshold", 3), 4)[0].points
+    labels = monotone.threshold_values(points)
+    assert obj["L"] == points[labels == 0].tolist()
+    assert obj["U"] == points[labels == 1].tolist()
     assert len(obj["L"]) + len(obj["U"]) == 4
 
 
@@ -249,6 +257,10 @@ def test_config_errors_exit_2(tmp_path):
         ]) == 2
     for bad in (["--d", "0"], ["--d", "1", "--seed", "-1"], ["--d", "2", "--oracle", "nope"]):
         assert cli.main(["quad", *bad, "--out", str(tmp_path / "q.csv")]) == 2
+    # NaN fails every comparison, and a step under 5e-13 vanishes in the 1e-12 rounding of t
+    for bad in (["--tmin", "nan"], ["--tmax", "nan"], ["--tstep", "nan"],
+                ["--tmax", "0.001", "--tstep", "4e-13"]):
+        assert cli.main(["gscan", *bad, "--out", str(tmp_path / "g.csv")]) == 2
     assert not list(tmp_path.iterdir())
 
 

@@ -20,29 +20,29 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def test_value_vanishes_on_samples_and_is_one_without_samples():
     gen = RandomStream(1).substream("vanish").generator()
-    samples = convex.SampleSet(gen.random((4, 3)), 3)
-    evaluator = convex.MaximalConvexEvaluator(samples)
-    assert evaluator.values(samples.points).max() <= 1e-9
-    empty = convex.MaximalConvexEvaluator(convex.SampleSet.empty(3))
+    samples = gen.random((4, 3))
+    evaluator = convex.MaximalConvexEvaluator(samples, 3)
+    assert evaluator.values(samples).max() <= 1e-9
+    empty = convex.MaximalConvexEvaluator(np.zeros((0, 3)), 3)
     assert empty.values(np.array([[0.2, 0.9, 0.4]]))[0] == 1.0
 
 
 def test_single_query_value_rejects_malformed_queries():
-    evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(np.array([[0.25, 0.5, 0.75]]), 3))
+    evaluator = convex.MaximalConvexEvaluator(np.array([[0.25, 0.5, 0.75]]), 3)
     for x in (0.5, np.full((1, 4), 0.5)):
         with pytest.raises(DomainError):
             evaluator.values(x)
 
 
 def test_value_matches_1d_hull_geometry():
-    evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(np.array([[0.25]]), 1))
+    evaluator = convex.MaximalConvexEvaluator(np.array([[0.25]]), 1)
     assert evaluator.values(np.array([[0.5]]))[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_1d_queries_follow_the_one_point_shape_rule():
     # At d=1 a flat array is neither N queries nor one: only (N, 1) is a batch.
     pts, xs = np.array([0.25, 0.75]), np.array([0.1, 0.5, 0.9])
-    evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(pts[:, None], 1))
+    evaluator = convex.MaximalConvexEvaluator(pts[:, None], 1)
     with pytest.raises(DomainError):
         evaluator.values(xs)
     with pytest.raises(DomainError):
@@ -55,31 +55,54 @@ def test_values_match_1d_oracle_for_many_sample_sets():
     xs = gen.random(1000)
     for k in range(1, 6):
         pts = gen.random(k)
-        evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(pts[:, None], 1))
+        evaluator = convex.MaximalConvexEvaluator(pts[:, None], 1)
         expected = maximal_convex_1d(xs, pts)
         got = evaluator.values(xs[:, None])
         assert np.abs(got - expected).max() <= 1e-8
     # endpoint samples switch branches off entirely
     for pts in (np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0])):
-        evaluator = convex.MaximalConvexEvaluator(convex.SampleSet(pts[:, None], 1))
+        evaluator = convex.MaximalConvexEvaluator(pts[:, None], 1)
         expected = maximal_convex_1d(xs, pts)
         assert np.abs(evaluator.values(xs[:, None]) - expected).max() <= 1e-8
 
 
+def test_point_array_entry_points_take_empty_and_reject_malformed_arrays():
+    empty = np.zeros((0, 3))
+    assert convex.MaximalConvexEvaluator(empty, 3).values(np.full((2, 3), 0.5)).tolist() == [1.0, 1.0]
+    assert convex.maximal_convex_integral(empty, 3, 10, RandomStream(13)).value == 1.0
+    assert convex.vertexize(empty, 3).shape == (0, 3)
+    malformed = (
+        np.full((2, 4), 0.5),  # wrong width
+        np.full(3, 0.5),  # one flat point is not an (n, 3) array
+        np.array([[0.5, 0.5, 1.5]]),
+        np.array([[0.5, -0.1, 0.5]]),
+        np.array([[0.5, np.nan, 0.5]]),
+    )
+    for bad in malformed:
+        with pytest.raises(DomainError):
+            convex.MaximalConvexEvaluator(bad, 3)
+        with pytest.raises(DomainError):
+            convex.maximal_convex_integral(bad, 3, 10, RandomStream(13))
+        with pytest.raises(DomainError):
+            convex.empirical_error_lower_bound(bad, 3, 10, RandomStream(13))
+        with pytest.raises(DomainError):
+            convex.vertexize(bad, 3)
+
+
 def test_batch_evaluator_equals_single_solves():
     gen = RandomStream(3).substream("batch").generator()
-    samples = convex.SampleSet(gen.random((6, 4)), 4)
-    evaluator = convex.MaximalConvexEvaluator(samples)
+    samples = gen.random((6, 4))
+    evaluator = convex.MaximalConvexEvaluator(samples, 4)
     xs = gen.random((200, 4))
     batch = evaluator.values(xs)
-    singles = np.array([convex.MaximalConvexEvaluator(samples).values(x[None])[0] for x in xs])
+    singles = np.array([convex.MaximalConvexEvaluator(samples, 4).values(x[None])[0] for x in xs])
     assert np.abs(batch - singles).max() <= 1e-9
 
 
-def _scan_samples(algorithm_id: str, dim: int, budget: int) -> convex.SampleSet:
+def _scan_samples(algorithm_id: str, dim: int, budget: int) -> np.ndarray:
     alg = algorithms.make_algorithm(algorithm_id, dim, budget, RandomStream(0))
     transcript, _ = run_algorithm(alg, algorithms.zero_oracle(dim), budget)
-    return convex.SampleSet(transcript.points, dim)
+    return transcript.points
 
 
 def _counting_solves(monkeypatch) -> list[int]:
@@ -96,13 +119,13 @@ def _counting_solves(monkeypatch) -> list[int]:
     return pivots
 
 
-def _highs_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
+def _highs_values(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The maximal vanishing convex function by HiGHS, one LP per query."""
-    a = np.vstack([np.ones(samples.n), samples.points.T, 1.0 - samples.points.T])
+    a = np.vstack([np.ones(len(samples)), samples.T, 1.0 - samples.T])
     out = []
     for x in xs:
         rhs = np.concatenate(([1.0], x, 1.0 - x))
-        ref = linprog(-np.ones(samples.n), A_ub=a, b_ub=rhs, method="highs")
+        ref = linprog(-np.ones(len(samples)), A_ub=a, b_ub=rhs, method="highs")
         assert ref.status == 0
         out.append(min(1.0, max(0.0, 1.0 + ref.fun)))
     return np.array(out)
@@ -119,7 +142,7 @@ def test_evaluator_matches_highs_on_degenerate_sample_sets(
     # whose feasibility test sits on the tolerance.
     samples = _scan_samples(algorithm_id, dim, budget)
     xs = RandomStream(31).substream(algorithm_id).generator().random((150, dim))
-    evaluator = convex.MaximalConvexEvaluator(samples)
+    evaluator = convex.MaximalConvexEvaluator(samples, dim)
     highs = _highs_values(samples, xs)
     solves = _counting_solves(monkeypatch)
     assert np.abs(evaluator.values(xs) - highs).max() <= 1e-9
@@ -135,13 +158,13 @@ def test_values_on_adjacent_blocks_equal_one_call(monkeypatch):
     # so query blocks fed one call at a time, as maximal_convex_integral
     # feeds them, take the same solves and give bitwise the same values.
     gen = RandomStream(35).substream("adjacent").generator()
-    samples = convex.SampleSet(gen.random((30, 6)), 6)
+    samples = gen.random((30, 6))
     xs = gen.random((3 * convex._QUERY_BLOCK, 6))
     pivots = _counting_solves(monkeypatch)
-    whole = convex.MaximalConvexEvaluator(samples).values(xs)
+    whole = convex.MaximalConvexEvaluator(samples, 6).values(xs)
     whole_pivots = list(pivots)
     pivots.clear()
-    evaluator = convex.MaximalConvexEvaluator(samples)
+    evaluator = convex.MaximalConvexEvaluator(samples, 6)
     cut = convex._QUERY_BLOCK
     parts = np.concatenate([evaluator.values(xs[:cut]), evaluator.values(xs[cut:])])
     assert pivots == whole_pivots
@@ -154,23 +177,23 @@ def test_integral_holds_one_sample_block_at_a_time():
     samples = _scan_samples("vertex-scan", 8, 8)
     tracemalloc.start()
     try:
-        convex.maximal_convex_integral(samples, 200_000, RandomStream(36))
+        convex.maximal_convex_integral(samples, 8, 200_000, RandomStream(36))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
 
 
-def _qhull_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
+def _qhull_values(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The maximal vanishing convex function as a Qhull lower envelope.
 
     Its epigraph in the cube is the hull of P x {0} and {0,1}^d x {1}, so
     f(x) is the largest of the affine functions of the hull's lower facets.
     """
-    d = samples.dim
+    d = samples.shape[1]
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
     lifted = np.vstack([
-        np.hstack([samples.points, np.zeros((samples.n, 1))]),
+        np.hstack([samples, np.zeros((len(samples), 1))]),
         np.hstack([corners, np.ones((2**d, 1))]),
     ])
     equations = ConvexHull(lifted).equations  # normal . (x, z) + offset <= 0
@@ -184,9 +207,9 @@ def _qhull_values(samples: convex.SampleSet, xs: np.ndarray) -> np.ndarray:
 )
 def test_evaluator_matches_qhull_lower_envelope(dim, n, queries):
     gen = RandomStream(33).substream("qhull", dim).generator()
-    samples = convex.SampleSet(gen.random((n, dim)), dim)
+    samples = gen.random((n, dim))
     xs = gen.random((queries, dim))
-    got = convex.MaximalConvexEvaluator(samples).values(xs)
+    got = convex.MaximalConvexEvaluator(samples, dim).values(xs)
     assert np.abs(got - _qhull_values(samples, xs)).max() <= 1e-9
 
 
@@ -197,15 +220,15 @@ def test_warm_started_solves_stay_few_pivots(monkeypatch):
     samples = _scan_samples("grid-scan", 2, 1000)
     pivots = _counting_solves(monkeypatch)
     xs = RandomStream(32).substream("pivot-guard").generator().random((100, 2))
-    convex.MaximalConvexEvaluator(samples).values(xs)
+    convex.MaximalConvexEvaluator(samples, 2).values(xs)
     assert 0 < sum(pivots) <= 200
 
 
 def test_midpoint_convexity_and_range():
     gen = RandomStream(4).substream("convexity").generator()
     for d in (2, 4, 6):
-        samples = convex.SampleSet(gen.random((min(10, d + 4), d)), d)
-        evaluator = convex.MaximalConvexEvaluator(samples)
+        samples = gen.random((min(10, d + 4), d))
+        evaluator = convex.MaximalConvexEvaluator(samples, d)
         x = gen.random((2000, d))
         y = gen.random((2000, d))
         fx, fy = evaluator.values(x), evaluator.values(y)
@@ -217,13 +240,13 @@ def test_midpoint_convexity_and_range():
 def test_dominates_every_vanishing_affine_minorant():
     gen = RandomStream(5).substream("minorant").generator()
     d = 3
-    samples = convex.SampleSet(gen.random((5, d)), d)
-    evaluator = convex.MaximalConvexEvaluator(samples)
+    samples = gen.random((5, d))
+    evaluator = convex.MaximalConvexEvaluator(samples, d)
     xs = gen.random((1000, d))
     fvals = evaluator.values(xs)
     for _ in range(20):
         slope = gen.normal(size=d)
-        shift = -float((samples.points @ slope).max())  # vanishes on the samples
+        shift = -float((samples @ slope).max())  # vanishes on the samples
         peak = shift + float(np.clip(slope, 0.0, None).sum())  # max over the cube
         if peak > 1.0:
             slope, shift = slope / peak, shift / peak
@@ -233,22 +256,18 @@ def test_dominates_every_vanishing_affine_minorant():
 
 def test_integral_trivial_sample_sets():
     stream = RandomStream(6)
-    empty = convex.maximal_convex_integral(convex.SampleSet.empty(3), 500, stream)
+    empty = convex.maximal_convex_integral(np.zeros((0, 3)), 3, 500, stream)
     assert empty.value == 1.0 and empty.std_error == 0.0
     verts = np.array([[i, j] for i in (0.0, 1.0) for j in (0.0, 1.0)])
-    full = convex.maximal_convex_integral(convex.SampleSet(verts, 2), 500, stream)
+    full = convex.maximal_convex_integral(verts, 2, 500, stream)
     assert full.value == 0.0
 
 
 def test_integral_1d_single_origin_sample():
     # with the origin pinned, the maximal function is the identity ramp
-    est = convex.maximal_convex_integral(
-        convex.SampleSet(np.array([[0.0]]), 1), 20_000, RandomStream(7)
-    )
+    est = convex.maximal_convex_integral(np.array([[0.0]]), 1, 20_000, RandomStream(7))
     assert abs(est.value - 0.5) <= 3.0 * est.std_error
-    bound = convex.empirical_error_lower_bound(
-        convex.SampleSet(np.array([[0.0]]), 1), 20_000, RandomStream(7)
-    )
+    bound = convex.empirical_error_lower_bound(np.array([[0.0]]), 1, 20_000, RandomStream(7))
     assert bound.value == pytest.approx(est.value / 2.0, abs=1e-15)
     assert abs(bound.value - 0.25) <= 1.5 * est.std_error
 
@@ -280,38 +299,40 @@ def test_caratheodory_reconstruction(coords):
 
 def test_vertexize_counts_and_pointwise_decrease():
     gen = RandomStream(8).substream("vertexize").generator()
-    one = convex.vertexize(convex.SampleSet(gen.random((1, 2)), 2))
-    assert one.n <= 3
+    one = convex.vertexize(gen.random((1, 2)), 2)
+    assert one.shape[1] == 2 and len(one) <= 3
     verts = np.array([[0.0, 1.0], [1.0, 1.0]])
-    again = convex.vertexize(convex.SampleSet(verts, 2))
-    assert sorted(map(tuple, again.points)) == sorted(map(tuple, verts))
+    again = convex.vertexize(verts, 2)
+    assert sorted(map(tuple, again)) == sorted(map(tuple, verts))
 
-    samples = convex.SampleSet(gen.random((2, 3)), 3)
-    expanded = convex.vertexize(samples)
-    assert expanded.n <= (3 + 1) * 2
-    before = convex.MaximalConvexEvaluator(samples)
-    after = convex.MaximalConvexEvaluator(expanded)
+    samples = gen.random((2, 3))
+    expanded = convex.vertexize(samples, 3)
+    assert len(expanded) <= (3 + 1) * 2
+    before = convex.MaximalConvexEvaluator(samples, 3)
+    after = convex.MaximalConvexEvaluator(expanded, 3)
     xs = gen.random((100, 3))
     assert (after.values(xs) <= before.values(xs) + 1e-9).all()
 
 
 def test_cover_check_passes_on_vertex_sets():
-    single = convex.SampleSet(np.array([[1.0, 0.0, 1.0]]), 3)
+    single = np.array([[1.0, 0.0, 1.0]])
     assert convex.elekes_cover_check(single, 100, RandomStream(9)).ok
-    opposite = convex.SampleSet(np.array([[0.0, 0.0], [1.0, 1.0]]), 2)
+    opposite = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert convex.elekes_cover_check(opposite, 10_000, RandomStream(10)).ok
-    all32 = convex.SampleSet(
-        np.array([[(i >> k) & 1 for k in range(5)] for i in range(32)], dtype=float), 5
-    )
+    all32 = np.array([[(i >> k) & 1 for k in range(5)] for i in range(32)], dtype=float)
     assert convex.elekes_cover_check(all32, 10_000, RandomStream(11)).ok
 
 
 def test_cover_check_rejects_non_vertex_and_empty_sets():
-    inner = convex.SampleSet(np.array([[1.0, 0.0, 1.0], [0.5, 0.0, 1.0]]), 3)
+    inner = np.array([[1.0, 0.0, 1.0], [0.5, 0.0, 1.0]])
     with pytest.raises(DomainError, match="vertex sets"):
         convex.elekes_cover_check(inner, 10, RandomStream(9))
-    with pytest.raises(DomainError, match="nonempty"):
-        convex.elekes_cover_check(convex.SampleSet.empty(3), 10, RandomStream(9))
+    outside = np.array([[1.0, 0.0, 2.0]])
+    with pytest.raises(DomainError, match="vertex sets"):
+        convex.elekes_cover_check(outside, 10, RandomStream(9))
+    for bad in (np.zeros((0, 3)), np.zeros((2, 0)), np.array([1.0, 0.0, 1.0])):
+        with pytest.raises(DomainError, match="nonempty"):
+            convex.elekes_cover_check(bad, 10, RandomStream(9))
 
 
 def test_cap_volume_rejects_out_of_range_parameters():
@@ -478,18 +499,14 @@ def test_hull_volume_against_exact_small_d_polytope_volume():
     corners = np.array([[pts[0], 0.0], [pts[-1], 0.0], [1.0, 1.0], [0.0, 1.0]])
     x, y = corners[:, 0], corners[:, 1]
     area = 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
-    est = convex.maximal_convex_integral(
-        convex.SampleSet(pts[:, None], 1), 40_000, RandomStream(42)
-    )
+    est = convex.maximal_convex_integral(pts[:, None], 1, 40_000, RandomStream(42))
     assert abs((1.0 - est.value) - area) <= 3.0 * est.std_error
     # d = 2: exact 3-D hull volume of the samples plus the lifted top face
     samples = gen.random((4, 2))
     base = np.hstack([samples, np.zeros((4, 1))])
     top = np.array([[i, j, 1.0] for i in (0.0, 1.0) for j in (0.0, 1.0)])
     exact_volume = ConvexHull(np.vstack([base, top])).volume
-    est = convex.maximal_convex_integral(
-        convex.SampleSet(samples, 2), 40_000, RandomStream(43)
-    )
+    est = convex.maximal_convex_integral(samples, 2, 40_000, RandomStream(43))
     assert abs((1.0 - est.value) - exact_volume) <= 3.0 * est.std_error
 
 
@@ -499,7 +516,7 @@ def test_statistical_volume_consistent_with_closed_form_bound():
     for trial in range(10):
         d = int(gen.integers(2, 11))
         n = int(gen.integers(1, 11))
-        samples = convex.SampleSet(gen.random((n, d)), d)
-        est = convex.maximal_convex_integral(samples, 2000, RandomStream(16).substream(trial))
+        samples = gen.random((n, d))
+        est = convex.maximal_convex_integral(samples, d, 2000, RandomStream(16).substream(trial))
         hull_volume = 1.0 - est.value
         assert hull_volume <= convex.hull_volume_upper_bound(n, d, t0) + 3.0 * est.std_error

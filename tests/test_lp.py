@@ -10,7 +10,7 @@ from quadversary.core import RandomStream, run_algorithm
 
 def _solve_one(c, a, b) -> SimpleNamespace:
     """Solve one program as a batch of one and return its row."""
-    sol = lp.solve(lp.LinearProgram(c, a, np.asarray(b, dtype=float)[None]))
+    sol = lp.solve(c, a, np.asarray(b, dtype=float)[None])
     return SimpleNamespace(
         value=float(sol.value[0]),
         solution=sol.solution[0],
@@ -47,7 +47,17 @@ def test_negative_rhs_rejected():
 
 def test_one_dimensional_rhs_rejected():
     with pytest.raises(lp.LPError, match="shapes"):
-        lp.solve(lp.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]))
+        lp.solve([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("c,a,rhs", [
+    ([1.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0]]),  # objective narrower than A
+    ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0, 3.0]]),  # rhs wider than A is tall
+    ([1.0, 1.0], [[1.0, 0.0, 0.0]], [[1.0]]),  # A wider than the objective
+])
+def test_mismatched_widths_rejected(c, a, rhs):
+    with pytest.raises(lp.LPError, match="shapes"):
+        lp.solve(c, a, rhs)
 
 
 def test_degenerate_rhs_zero_terminates():
@@ -135,7 +145,7 @@ def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
         ref = linprog(-c, A_ub=a, b_ub=b, method="highs")
         assert ref.status == 0
         refs.append(-ref.fun)
-    sol = lp.solve(lp.LinearProgram(c, a, rhs))
+    sol = lp.solve(c, a, rhs)
     assert sol.value.shape == (len(xs),) and sol.basis.shape == (len(xs), m)
     for j, b in enumerate(rhs):
         y = sol.duals[j]
@@ -148,13 +158,13 @@ def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
         assert sol.solution[j].min() >= -1e-12
 
 
-def test_batch_pivots_each_program_as_a_lone_solve_would():
+def test_batch_pivots_each_program_as_a_lone_solve_would(monkeypatch):
     # Row 0 is Beale's program, which Dantzig's rule alone cycles on: it ends
     # only after its switch to Bland's rule.  The other rows share A and c.
     c = [0.75, -150.0, 0.02, -6.0]
     a = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
     rhs = np.array([[0.0, 0.0, 1.0], [0.1, 0.2, 1.0], [0.0, 0.0, 0.5], [0.3, 0.0, 1.0]])
-    sol = lp.solve(lp.LinearProgram(c, a, rhs))
+    sol = lp.solve(c, a, rhs)
     assert sol.value[0] == pytest.approx(0.05, abs=1e-12)
     assert sol.solution[0] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
     lone = [_solve_one(c, a, b) for b in rhs]
@@ -164,14 +174,15 @@ def test_batch_pivots_each_program_as_a_lone_solve_would():
         assert sol.value[j] == pytest.approx(-ref.fun, abs=1e-9)
         assert sol.value[j] == pytest.approx(lone[j].value, abs=1e-12)
         assert tuple(sol.basis[j]) == lone[j].basis
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 5)
     with pytest.raises(lp.LPError, match="pivots"):
-        lp.solve(lp.LinearProgram(c, a, rhs[[3, 0]]), max_iterations=5)
-    assert lp.solve(lp.LinearProgram(c, a, rhs[[3]]), max_iterations=5).value[0] > 0.0
+        lp.solve(c, a, rhs[[3, 0]])
+    assert lp.solve(c, a, rhs[[3]]).value[0] > 0.0
 
 
 def test_one_bad_program_fails_the_whole_batch():
     a, c = [[1.0, 1.0], [1.0, 3.0]], [1.0, 2.0]
     with pytest.raises(lp.LPError, match="negative"):
-        lp.solve(lp.LinearProgram(c, a, [[1.0, 2.0], [0.5, -0.5], [2.0, 1.0]]))
+        lp.solve(c, a, [[1.0, 2.0], [0.5, -0.5], [2.0, 1.0]])
     with pytest.raises(lp.LPError, match="unbounded"):
-        lp.solve(lp.LinearProgram([1.0, 1.0], [[0.0, 1.0]], [[1.0], [2.0]]))
+        lp.solve([1.0, 1.0], [[0.0, 1.0]], [[1.0], [2.0]])
