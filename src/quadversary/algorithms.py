@@ -10,19 +10,17 @@ the same seed replays the identical transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, RandomStream, Transcript
+from .core import AdaptiveCubature, DomainError, EvalOracle, RandomStream, Transcript
 from .monotone import threshold_values
 
 __all__ = [
     "ALGORITHM_IDS",
     "ORACLE_IDS",
-    "ConstantHalf",
-    "GridScanSampler",
-    "UniformRandomSampler",
-    "VertexScanSampler",
+    "FixedDesign",
     "make_algorithm",
     "make_oracle",
     "true_integral",
@@ -56,10 +54,6 @@ def true_integral(oracle_id: str, dim: int) -> float:
     return _ORACLES[oracle_id][1](dim)
 
 
-def _mean_or_half(transcript: Transcript) -> float:
-    return float(transcript.values.mean()) if transcript.n else 0.5
-
-
 def _digits(j: int, base: int, dim: int) -> list[int]:
     """The dim base-``base`` digits of j, most significant first."""
     digits = []
@@ -82,86 +76,59 @@ def _lattice_side(dim: int, budget: int) -> int:
 
 
 @dataclass(frozen=True)
-class ConstantHalf:
-    """Zero-query algorithm; outputs the optimal constant 1/2."""
+class FixedDesign:
+    """Non-adaptive algorithm: queries point(0), ..., point(count - 1), outputs their mean.
 
-    dim: int
-
-    def next_query(self, transcript: Transcript) -> np.ndarray | None:
-        return None
-
-    def finalize(self, transcript: Transcript) -> float:
-        return 0.5
-
-
-@dataclass(frozen=True)
-class UniformRandomSampler:
-    """Samples budget-many seeded uniform points and outputs their mean.
-
-    The j-th query depends only on the seed and j, never on run state, so
-    replaying a run reproduces the transcript bitwise.
+    Query j depends only on j and the design's own configuration, never on
+    the values seen, so replaying a run reproduces the transcript bitwise.
+    With no queries the output is 1/2, the optimal constant.
     """
 
     dim: int
-    budget: int
-    stream: RandomStream
+    count: int
+    point: Callable[[int], np.ndarray]
 
     def next_query(self, transcript: Transcript) -> np.ndarray | None:
-        if transcript.n >= self.budget:
-            return None
-        return self.stream.substream("query", transcript.n).generator().random(self.dim)
+        return self.point(transcript.n) if transcript.n < self.count else None
 
     def finalize(self, transcript: Transcript) -> float:
-        return _mean_or_half(transcript)
+        return float(transcript.values.mean()) if transcript.n else 0.5
 
 
-@dataclass(frozen=True)
-class GridScanSampler:
-    """Queries the first budget-many cell centers of the smallest m^d lattice.
-
-    Query j is the cell center (i + 1/2) / m whose indices i are the base-m
-    digits of j, the lexicographic order of the lattice.
-    """
-
-    dim: int
-    budget: int
-
-    def next_query(self, transcript: Transcript) -> np.ndarray | None:
-        if transcript.n >= self.budget:
-            return None
-        m = _lattice_side(self.dim, self.budget)
-        return np.array([(i + 0.5) / m for i in _digits(transcript.n, m, self.dim)])
-
-    def finalize(self, transcript: Transcript) -> float:
-        return _mean_or_half(transcript)
+def _uniform_random(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
+    """Budget-many seeded uniform points; query j draws from its own substream."""
+    queries = stream.substream("uniform-random", "query")
+    return FixedDesign(dim, budget, lambda j: queries.substream(j).generator().random(dim))
 
 
-@dataclass(frozen=True)
-class VertexScanSampler:
-    """Queries cube vertices in lexicographic order up to the budget."""
-
-    dim: int
-    budget: int
-
-    def next_query(self, transcript: Transcript) -> np.ndarray | None:
-        if transcript.n >= min(self.budget, 2**self.dim):
-            return None
-        return np.array(_digits(transcript.n, 2, self.dim), dtype=float)
-
-    def finalize(self, transcript: Transcript) -> float:
-        return _mean_or_half(transcript)
+def _grid_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
+    """Cell centers (i + 1/2) / m of the smallest m^d lattice, i the base-m digits of query j."""
+    m = _lattice_side(dim, budget)
+    return FixedDesign(dim, budget, lambda j: np.array([(i + 0.5) / m for i in _digits(j, m, dim)]))
 
 
-ALGORITHM_IDS = ("constant-half", "uniform-random", "grid-scan", "vertex-scan")
+def _vertex_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
+    """Cube vertices in lexicographic order, up to the budget."""
+    return FixedDesign(
+        dim, min(budget, 2**dim), lambda j: np.array(_digits(j, 2, dim), dtype=float)
+    )
 
 
-def make_algorithm(algorithm_id: str, dim: int, budget: int, stream: RandomStream):
-    if algorithm_id == "constant-half":
-        return ConstantHalf(dim)
-    if algorithm_id == "uniform-random":
-        return UniformRandomSampler(dim, budget, stream.substream("uniform-random"))
-    if algorithm_id == "grid-scan":
-        return GridScanSampler(dim, budget)
-    if algorithm_id == "vertex-scan":
-        return VertexScanSampler(dim, budget)
-    raise DomainError(f"unknown algorithm {algorithm_id!r}; choose from {ALGORITHM_IDS}")
+# id -> factory (dim, budget, stream) -> algorithm, in the order the CLI lists them.
+_ALGORITHMS: dict[str, Callable[[int, int, RandomStream], AdaptiveCubature]] = {
+    "constant-half": lambda dim, budget, stream: FixedDesign(dim, 0, None),  # no query, no point
+    "uniform-random": _uniform_random,
+    "grid-scan": _grid_scan,
+    "vertex-scan": _vertex_scan,
+}
+ALGORITHM_IDS = tuple(_ALGORITHMS)
+
+
+def make_algorithm(
+    algorithm_id: str, dim: int, budget: int, stream: RandomStream
+) -> AdaptiveCubature:
+    if algorithm_id not in _ALGORITHMS:
+        raise DomainError(f"unknown algorithm {algorithm_id!r}; choose from {ALGORITHM_IDS}")
+    if dim < 1:  # the grid's lattice side divides by dim
+        raise DomainError("algorithm dimension must be positive")
+    return _ALGORITHMS[algorithm_id](dim, budget, stream)

@@ -218,8 +218,8 @@ def cmd_bounds(args) -> int:
 def cmd_gscan(args) -> int:
     if not (0.0 <= args.tmin <= args.tmax <= 1.0):
         raise ConfigError("need 0 <= tmin <= tmax <= 1")
-    if not (args.tstep >= 1e-12):  # t advances in steps rounded to 1e-12
-        raise ConfigError("tstep must be at least 1e-12")
+    if not (args.tstep >= 1e-6):  # find_height_threshold's tolerance; caps rows at 10^6 + 1
+        raise ConfigError("tstep must be at least 1e-6")
     rows = []
     t = args.tmin
     while t <= args.tmax + 1e-12:

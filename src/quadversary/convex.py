@@ -311,7 +311,6 @@ class CoverCheck:
     """Outcome of sampling hull points against the vertex ball cover."""
 
     ok: bool
-    trials: int
     counterexample: np.ndarray | None = None
 
 
@@ -328,6 +327,8 @@ def elekes_cover_check(vertices: np.ndarray, trials: int, stream: RandomStream) 
         raise DomainError(f"cover check needs a nonempty (k, d) vertex set, got {verts.shape}")
     if not np.all((verts == 0.0) | (verts == 1.0)):
         raise DomainError("cover check applies to cube vertex sets")
+    if trials < 1:  # a check that samples nothing proves nothing
+        raise DomainError("cover check needs at least one trial")
     k, d = verts.shape
     centers = (verts + 0.5) / 2.0
     radius_sq = d / 16.0
@@ -341,9 +342,9 @@ def elekes_cover_check(vertices: np.ndarray, trials: int, stream: RandomStream) 
         inside = (dist_sq <= radius_sq + 1e-12).any(axis=1)
         if not inside.all():
             bad = int(np.flatnonzero(~inside)[0])
-            return CoverCheck(False, done + bad + 1, pts[bad])
+            return CoverCheck(False, pts[bad])
         done += size
-    return CoverCheck(True, trials)
+    return CoverCheck(True)
 
 
 def cap_volume_mc(
@@ -518,7 +519,7 @@ def find_height_threshold() -> HeightThreshold:
 
 @lru_cache(maxsize=1)
 def default_height_threshold() -> HeightThreshold:
-    """Cached default-parameter height threshold (a few seconds to compute)."""
+    """Cached default-parameter height threshold (about a millisecond to compute)."""
     return find_height_threshold()
 
 

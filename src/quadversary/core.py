@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class Transcript:
         return self.values.shape[0]
 
 
-@runtime_checkable
 class AdaptiveCubature(Protocol):
     """Interface every registered cubature algorithm implements.
 

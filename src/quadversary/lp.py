@@ -45,9 +45,9 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal values, primal/dual solutions, and the optimal bases of K programs.
+    """Optimal values, dual solutions, and the optimal bases of K programs.
 
-    ``value``, ``solution``, ``duals``, ``basis`` (an int array) and
+    ``value``, ``duals``, ``basis`` (an int array) and
     ``basis_inverse`` carry a leading K axis, one row per program;
     ``iterations`` is the total number of pivots over the batch.
     ``basis_inverse`` is the inverse of each optimal basis matrix, computed
@@ -57,7 +57,6 @@ class LPSolution:
     """
 
     value: np.ndarray
-    solution: np.ndarray
     duals: np.ndarray
     basis: np.ndarray
     basis_inverse: np.ndarray
@@ -140,7 +139,5 @@ def solve(objective, constraints, rhs) -> LPSolution:
     values = np.matmul(inverse, b[..., None])[..., 0]
     basic_cost = cost[basis]
     duals = np.matmul(basic_cost[:, None, :], inverse)[:, 0]
-    solution = np.zeros((k, n + m))
-    np.put_along_axis(solution, basis, values, axis=1)
     value = (basic_cost * values).sum(axis=1)
-    return LPSolution(value, solution[:, :n], duals, basis, inverse, int(pivots.sum()))
+    return LPSolution(value, duals, basis, inverse, int(pivots.sum()))

@@ -96,6 +96,44 @@ def test_every_public_name_has_a_reader_outside_tests():
     assert not unread, f"public names that only tests read: {unread}"
 
 
+# Dataclass fields that nothing in src/ or bench/ reads, kept on purpose.
+_UNREAD_FIELDS_BY_DESIGN = {
+    "BracketEstimate.lower_sum",  # the bracket's two ends: tests check that the
+    "BracketEstimate.upper_sum",  # integral lies between them
+}
+
+
+def _dataclass_fields(path: Path) -> list[tuple[str, str]]:
+    """(class name, field name) of every field of every ``@dataclass`` in the file."""
+    return [
+        (stmt.name, item.target.id)
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)
+        for item in stmt.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def test_every_dataclass_field_has_a_reader_outside_tests():
+    # a field that only tests read is state the program carries for nothing
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src").rglob("*.py")) + sorted((root / "bench").rglob("*.py"))
+    loaded = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls}.{name}"
+        for path in sorted(Path(quadversary.__file__).parent.glob("*.py"))
+        for cls, name in _dataclass_fields(path)
+        if name not in loaded and f"{cls}.{name}" not in _UNREAD_FIELDS_BY_DESIGN
+    ]
+    assert not unread, f"dataclass fields that no code in src/ or bench/ reads: {unread}"
+
+
 def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None]]:
     """(callee name, parameter, position or None) of each defaulted parameter.
 

@@ -257,9 +257,11 @@ def test_config_errors_exit_2(tmp_path):
         ]) == 2
     for bad in (["--d", "0"], ["--d", "1", "--seed", "-1"], ["--d", "2", "--oracle", "nope"]):
         assert cli.main(["quad", *bad, "--out", str(tmp_path / "q.csv")]) == 2
-    # NaN fails every comparison, and a step under 5e-13 vanishes in the 1e-12 rounding of t
+    # NaN fails every comparison; a step under 1e-6, finer than the heights the
+    # threshold search resolves, could ask for 10^9 rows
     for bad in (["--tmin", "nan"], ["--tmax", "nan"], ["--tstep", "nan"],
-                ["--tmax", "0.001", "--tstep", "4e-13"]):
+                ["--tmax", "0.001", "--tstep", "4e-13"], ["--tmax", "0.001", "--tstep", "1e-12"],
+                ["--tmax", "0.001", "--tstep", "9e-7"]):
         assert cli.main(["gscan", *bad, "--out", str(tmp_path / "g.csv")]) == 2
     assert not list(tmp_path.iterdir())
 

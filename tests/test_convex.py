@@ -335,6 +335,13 @@ def test_cover_check_rejects_non_vertex_and_empty_sets():
             convex.elekes_cover_check(bad, 10, RandomStream(9))
 
 
+def test_cover_check_rejects_fewer_than_one_trial():
+    # a check that samples nothing must not report a pass
+    for trials in (0, -5):
+        with pytest.raises(DomainError, match="trial"):
+            convex.elekes_cover_check(np.array([[1.0, 0.0]]), trials, RandomStream(9))
+
+
 def test_cap_volume_rejects_out_of_range_parameters():
     for t, dim in ((-0.1, 3), (1.5, 3), (0.3, 0)):
         with pytest.raises(DomainError):

@@ -44,7 +44,7 @@ def test_oracle_rejects_out_of_range_values():
 
 
 def test_zero_budget_constant_algorithm():
-    alg = algorithms.ConstantHalf(dim=3)
+    alg = algorithms.make_algorithm("constant-half", 3, 0, RandomStream(0))
     oracle = algorithms.make_oracle("threshold", 3)
     transcript, output = run_algorithm(alg, oracle, budget=0)
     assert transcript.n == 0
@@ -110,12 +110,13 @@ def test_budget_exceeded_is_an_error():
 
 
 def test_dimension_mismatch_rejected():
-    alg = algorithms.ConstantHalf(dim=2)
+    alg = algorithms.make_algorithm("constant-half", 2, 0, RandomStream(0))
     oracle = algorithms.make_oracle("affine", 3)
     with pytest.raises(DomainError):
         run_algorithm(alg, oracle, budget=0)
+    alg = algorithms.make_algorithm("constant-half", 3, 0, RandomStream(0))
     with pytest.raises(DomainError):
-        run_algorithm(algorithms.ConstantHalf(dim=3), oracle, budget=-1)
+        run_algorithm(alg, oracle, budget=-1)
 
 
 def test_replay_same_seed_reproduces_transcript():
@@ -210,6 +211,38 @@ def test_grid_scan_d5_queries_the_whole_5_lattice():
     assert transcript.points.tolist() == [list(p) for p in itertools.product(centers, repeat=5)]
 
 
+def test_registered_algorithms_keep_their_order_and_query_counts():
+    ids = ("constant-half", "uniform-random", "grid-scan", "vertex-scan")
+    assert algorithms.ALGORITHM_IDS == ids  # the --algorithm help text lists them in this order
+    for d, budget in ((2, 10), (3, 5), (4, 0)):
+        expected = {"constant-half": 0, "uniform-random": budget, "grid-scan": budget,
+                    "vertex-scan": min(budget, 2**d)}
+        for algorithm_id, count in expected.items():
+            alg = algorithms.make_algorithm(algorithm_id, d, budget, RandomStream(3))
+            transcript, output = run_algorithm(alg, algorithms.make_oracle("affine", d), budget)
+            assert transcript.n == count, algorithm_id
+            assert output == (transcript.values.mean() if count else 0.5)
+
+
+def test_uniform_random_queries_follow_their_seed_path():
+    # query j comes from substream ("uniform-random") then ("query", j); moving
+    # that path would change every seeded report
+    stream = RandomStream(2024).substream("algorithm")
+    alg = algorithms.make_algorithm("uniform-random", 6, 5, stream)
+    transcript, _ = run_algorithm(alg, algorithms.make_oracle("affine", 6), budget=5)
+    for j in range(5):
+        expected = stream.substream("uniform-random").substream("query", j).generator().random(6)
+        assert np.array_equal(transcript.points[j], expected)
+
+
+def test_make_algorithm_rejects_unknown_ids_and_nonpositive_dimensions():
+    with pytest.raises(DomainError, match="unknown algorithm 'nope'; choose from"):
+        algorithms.make_algorithm("nope", 2, 4, RandomStream(0))
+    for d in (0, -1):
+        with pytest.raises(DomainError, match="dimension"):
+            algorithms.make_algorithm("grid-scan", d, 4, RandomStream(0))
+
+
 @dataclass
 class Hoarder:
     """Keeps every transcript it is handed."""
@@ -247,7 +280,9 @@ def test_huge_budget_allocates_nothing_of_budget_size():
     tracemalloc.start()
     try:
         transcript, output = run_algorithm(
-            algorithms.ConstantHalf(dim=4), algorithms.make_oracle("affine", 4), budget=10**12
+            algorithms.make_algorithm("constant-half", 4, 10**12, RandomStream(0)),
+            algorithms.make_oracle("affine", 4),
+            budget=10**12,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -8,12 +8,24 @@ from quadversary import algorithms, lp
 from quadversary.core import RandomStream, run_algorithm
 
 
+def _primal(a, b, basis, basis_inverse) -> np.ndarray:
+    """The optimal primal v of one program, rebuilt from its optimal basis.
+
+    The basic variables are inv(B) b and every other variable is 0; the
+    slack variables are dropped.
+    """
+    n = np.shape(a)[1]
+    full = np.zeros(n + len(basis))
+    full[list(basis)] = basis_inverse @ np.asarray(b, dtype=float)
+    return full[:n]
+
+
 def _solve_one(c, a, b) -> SimpleNamespace:
     """Solve one program as a batch of one and return its row."""
     sol = lp.solve(c, a, np.asarray(b, dtype=float)[None])
     return SimpleNamespace(
         value=float(sol.value[0]),
-        solution=sol.solution[0],
+        primal=_primal(a, b, sol.basis[0], sol.basis_inverse[0]),
         duals=sol.duals[0],
         basis=tuple(int(j) for j in sol.basis[0]),
         basis_inverse=sol.basis_inverse[0],
@@ -25,14 +37,14 @@ def test_known_two_variable_optimum():
     # max x + y  s.t.  x <= 1, y <= 2
     sol = _solve_one([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     assert sol.value == pytest.approx(3.0, abs=1e-12)
-    assert sol.solution == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert sol.primal == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 def test_binding_mixture_constraint():
     # max 2x + y  s.t.  x + y <= 1  ->  all mass on x
     sol = _solve_one([2.0, 1.0], [[1.0, 1.0]], [1.0])
     assert sol.value == pytest.approx(2.0, abs=1e-12)
-    assert sol.solution == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert sol.primal == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_unbounded_detected():
@@ -85,8 +97,8 @@ def test_duals_and_basis_inverse_identities():
         columns = np.hstack([a, np.eye(m)])[:, list(sol.basis)]
         assert np.allclose(sol.basis_inverse @ columns, np.eye(m), atol=1e-9)
         # primal solution feasible and optimal within tolerance
-        assert (a @ sol.solution <= b + 1e-9).all()
-        assert sol.solution.min() >= -1e-12
+        assert (a @ sol.primal <= b + 1e-9).all()
+        assert sol.primal.min() >= -1e-12
 
 
 def test_matches_reference_solver_on_random_instances():
@@ -114,7 +126,7 @@ def test_beale_cycling_example_ends_at_optimum():
         [0.0, 0.0, 1.0],
     )
     assert sol.value == pytest.approx(0.05, abs=1e-12)
-    assert sol.solution == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+    assert sol.primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
 
 def _membership(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +166,9 @@ def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
         assert (a.T @ y >= c - 1e-9).all() and y.min() >= -1e-9
         columns = np.hstack([a, np.eye(m)])[:, sol.basis[j]]
         assert np.abs(sol.basis_inverse[j] @ columns - np.eye(m)).max() <= 1e-9
-        assert (a @ sol.solution[j] <= b + 1e-9).all()
-        assert sol.solution[j].min() >= -1e-12
+        primal = _primal(a, b, sol.basis[j], sol.basis_inverse[j])
+        assert (a @ primal <= b + 1e-9).all()
+        assert primal.min() >= -1e-12
 
 
 def test_batch_pivots_each_program_as_a_lone_solve_would(monkeypatch):
@@ -166,7 +179,8 @@ def test_batch_pivots_each_program_as_a_lone_solve_would(monkeypatch):
     rhs = np.array([[0.0, 0.0, 1.0], [0.1, 0.2, 1.0], [0.0, 0.0, 0.5], [0.3, 0.0, 1.0]])
     sol = lp.solve(c, a, rhs)
     assert sol.value[0] == pytest.approx(0.05, abs=1e-12)
-    assert sol.solution[0] == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+    primal = _primal(a, rhs[0], sol.basis[0], sol.basis_inverse[0])
+    assert primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
     lone = [_solve_one(c, a, b) for b in rhs]
     assert sol.iterations == sum(s.iterations for s in lone)
     for j, b in enumerate(rhs):
