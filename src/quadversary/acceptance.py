@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,7 +19,14 @@ import numpy as np
 from . import algorithms, convex, monotone, quadrature
 from .core import RandomStream
 
-__all__ = ["CRITERIA", "Criterion", "grid_union_volume", "maximal_convex_1d", "run_criterion"]
+__all__ = [
+    "CRITERIA",
+    "Criterion",
+    "fraction_union_volume",
+    "grid_union_volume",
+    "maximal_convex_1d",
+    "run_criterion",
+]
 
 
 class Criterion(NamedTuple):
@@ -78,6 +86,24 @@ def grid_union_volume(corners: np.ndarray, mode: str, cells_per_axis: int) -> fl
     return hits / pts.shape[0]
 
 
+def fraction_union_volume(corners: np.ndarray, mode: str) -> Fraction:
+    """Union volume of boxes [0, t_j] (lower) or [t_j, 1] (upper) in exact rationals.
+
+    Inclusion-exclusion over every subset of the boxes, on integer numerators
+    over one power-of-two denominator that every corner coordinate shares.
+    """
+    arr = np.atleast_2d(np.asarray(corners, dtype=float))
+    coords = [[Fraction(x) for x in row] for row in arr]
+    d = arr.shape[1]
+    scale = max((x.denominator for row in coords for x in row), default=1)
+    mins, signs = [[scale] * d], [-1]  # the empty subset, skipped in the sum
+    for row in coords:
+        box = [int((x if mode == "lower" else 1 - x) * scale) for x in row]
+        mins += [[min(a, b) for a, b in zip(m, box)] for m in mins]
+        signs += [-s for s in signs]
+    return Fraction(sum(s * math.prod(m) for s, m in zip(signs[1:], mins[1:])), scale**d)
+
+
 def maximal_convex_1d(xs: np.ndarray, sample_points: np.ndarray) -> np.ndarray:
     """Largest convex [0,1] function vanishing on 1-D sample points.
 
@@ -109,7 +135,7 @@ def criterion_01_monotone_count_reproduction() -> str:
 def criterion_02_adversary_sharpness_at_center() -> str:
     for d in range(1, 21):
         pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
-        _require(pair.gap_low == 1.0 - 2.0 ** (-d), f"d={d}: gap {pair.gap_low!r}")
+        _require(pair.gap.low == 1.0 - 2.0 ** (-d), f"d={d}: gap {pair.gap.low!r}")
     return "single centered query yields gap exactly 1 - 2^-d for d=1..20"
 
 
@@ -123,12 +149,14 @@ def criterion_03_union_volume_grid_equivalence() -> str:
         k = int(gen.integers(1, 5))
         corners = gen.integers(0, cells + 1, size=(k, d)) / cells
         mode = "lower" if trial % 4 < 2 else "upper"
-        exact = monotone.union_box_volume(corners, mode)
-        _require(exact.exact, f"trial {trial}: volume is a bracket, not exact")
+        volume = monotone.union_box_volume(corners, mode)
+        _require(volume.high - volume.low < 1e-12, f"trial {trial}: {volume} is a wide bracket")
+        truth = fraction_union_volume(corners, mode)
+        _require(volume.low <= truth <= volume.high, f"trial {trial}: {volume} misses {truth}")
         counted = grid_union_volume(corners, mode, cells)
-        worst = max(worst, abs(exact.low - counted))
+        worst = max(worst, abs(volume.low - counted))
     _require(worst <= 2e-3, f"worst deviation {worst:.2e} > 2e-3")
-    return f"50 instances vs 1e6-cell grid count, worst deviation {worst:.2e}"
+    return f"50 instances hold their rational volume; vs 1e6-cell grid, worst deviation {worst:.2e}"
 
 
 @_criterion(4, cap_s=10.0)

@@ -130,26 +130,24 @@ def cmd_adversary(args) -> int:
         for name, values in (("f+", pair.fplus_values), ("f-", pair.fminus_values)):
             if not np.array_equal(values(transcript.points), transcript.values):
                 raise ConsistencyError(f"{name} disagrees with the probe on the transcript")
-        certified = pair.gap_low / 2.0
+        certified = pair.gap.low / 2.0
         theorem = monotone.error_lower_bound(pair.n, dim)
         if certified < theorem - 1e-12:
             raise ConsistencyError(
                 f"certified bound {certified} fell below the closed form {theorem}"
             )
+        gap = {"gap_low": pair.gap.low, "gap_high": pair.gap.high,
+               "guaranteed_gap": 2.0 * theorem,
+               "provenance": "exact" if pair.gap.exact else "bracket"}
         out = _resolve_out(args.out, f"adversary.{args.format}")
         if args.format == "json":
             _write_json(out, {
                 "d": dim, "L": pair.lower_corners.tolist(), "U": pair.upper_corners.tolist(),
-                "gap_low": pair.gap_low, "gap_high": pair.gap_high,
-                "guaranteed_gap": pair.guaranteed_gap, "provenance": pair.provenance,
-                "error_lower_bound": certified, "theorem_lower_bound": theorem,
+                **gap, "error_lower_bound": certified, "theorem_lower_bound": theorem,
             })
         else:
-            header = ["d", "n", "ell", "gap_low", "gap_high", "guaranteed_gap", "provenance",
-                      "error_lower_bound"]
-            rows = [[dim, pair.n, pair.ell, pair.gap_low, pair.gap_high,
-                     pair.guaranteed_gap, pair.provenance, certified]]
-            _write_report(out, header, rows, "csv")
+            header = ["d", "n", "ell", *gap, "error_lower_bound"]
+            _write_report(out, header, [[dim, pair.n, pair.ell, *gap.values(), certified]], "csv")
         return _finish(out, "adversary", config,
                        f"adversary monotone d={dim} n={pair.n} certified>={certified!r}")
 

@@ -548,7 +548,7 @@ def complexity_lower_bound(eps: float, dim: int, eps0: float) -> int:
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError("eps must be positive")
     if not (0.0 < eps0 < 0.5):
         raise DomainError("eps0 must lie in (0, 1/2)")

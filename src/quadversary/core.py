@@ -20,6 +20,7 @@ __all__ = [
     "BudgetExceededError",
     "DomainError",
     "EvalOracle",
+    "Interval",
     "Transcript",
     "AdaptiveCubature",
     "RandomStream",
@@ -51,6 +52,18 @@ def as_points(points, dim: int) -> np.ndarray:
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise DomainError("points must lie in the unit cube [0, 1]^d")
     return arr
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Two-sided bound [low, high] on a real quantity; one value if ``exact``."""
+
+    low: float
+    high: float
+
+    @property
+    def exact(self) -> bool:
+        return self.low == self.high
 
 
 @dataclass(frozen=True)

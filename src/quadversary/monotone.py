@@ -4,8 +4,9 @@ The probe integrand is the 0/1 step at half the coordinate sum.  After an
 algorithm has spent its budget on that probe, the transcript points split
 into those that returned 0 and those that returned 1, and two extremal
 monotone functions agree with the probe on every queried point while their
-integrals differ by a gap that is exact or rigorously bracketed.  Half its
-lower end is a certified worst-case error lower bound for the algorithm, and
+integrals differ by a gap held in a :class:`~.core.Interval`: one exact value
+when every corner is dyadic, a rigorous bracket otherwise.  Half its lower
+end is a certified worst-case error lower bound for the algorithm, and
 minimizing over point placements yields the closed-form bounds exposed here.
 """
 
@@ -17,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_points
+from .core import DomainError, Interval, as_points
 
 __all__ = [
     "ConvergenceError",
     "MonotoneFoolingPair",
-    "UnionVolume",
     "build_fooling_pair",
     "complexity_lower_bound",
     "error_lower_bound",
@@ -67,18 +67,6 @@ def threshold_values(points: np.ndarray) -> np.ndarray:
     return (pts.sum(axis=1) >= half).astype(int)
 
 
-@dataclass(frozen=True)
-class UnionVolume:
-    """Bracket ``[low, high]`` on the volume of a union of boxes; one value if exact."""
-
-    low: float
-    high: float
-
-    @property
-    def exact(self) -> bool:
-        return self.low == self.high
-
-
 def _holders(points: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """For each point p, count the corners c with p <= c: the boxes [0, c] holding p.
 
@@ -104,13 +92,21 @@ def _maximal_boxes(boxes: np.ndarray) -> np.ndarray:
     return boxes[_holders(boxes, boxes) == 1]
 
 
-def _inclusion_exclusion(boxes: np.ndarray) -> UnionVolume:
+def _inclusion_exclusion(boxes: np.ndarray, dyadic: bool) -> Interval:
     """Union volume of boxes [0, b_j] as the signed sum over subset minima.
 
     The minima of all subsets of the first ``h`` boxes form a table built by
     doubling: the subsets holding box j are the earlier rows cut by b_j.  Each
     subset of the other boxes cuts it into one block of at most
     ``_BLOCK_ELEMENTS``, and ``math.fsum`` rounds the sum of all blocks once.
+
+    If the boxes are ``dyadic``, every term and the sum are exact.  Otherwise
+    each term, a product of d coordinates that are exact or the rounded
+    1 - t, errs by at most gamma_{2d-1} of its size, with gamma_k = k u / (1 - k u)
+    and u = 2^-53 (Higham, 2002, sec. 3.1), and by d 2^-1075 from underflow;
+    ``fsum`` adds u of the sum or 2^-1075.  Widening by 2(d + 2)u of the
+    ``fsum`` of |terms| and 2^k d 2^-1074 covers these and the rounding of
+    both ends.
     """
     k, d = boxes.shape
     h = min(k, 16, max(0, (_BLOCK_ELEMENTS // d).bit_length() - 1))
@@ -120,19 +116,21 @@ def _inclusion_exclusion(boxes: np.ndarray) -> UnionVolume:
         np.minimum(mins[: 1 << j], boxes[j], out=mins[1 << j : 2 << j])
         sign[1 << j : 2 << j] = -sign[: 1 << j]
     tail = boxes[h:]
+    blocks = []
+    for mask in range(1 << len(tail)):
+        chosen = [j for j in range(len(tail)) if mask >> j & 1]
+        cut = tail[chosen].min(axis=0, initial=1.0)
+        terms = np.minimum(mins, cut).prod(axis=1) * (sign * (-1) ** len(chosen))
+        blocks.append(terms[1:] if mask == 0 else terms)  # skip the empty subset
+    volume = math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks))
+    if dyadic:
+        return Interval(volume, volume)
+    size = math.fsum(itertools.chain.from_iterable(np.abs(b).tolist() for b in blocks))
+    pad = 2 * (d + 2) * 2.0**-53 * size + (1 << k) * d * 2.0**-1074
+    return Interval(max(0.0, volume - pad), min(1.0, volume + pad))
 
-    def blocks():
-        for mask in range(1 << len(tail)):
-            chosen = [j for j in range(len(tail)) if mask >> j & 1]
-            cut = tail[chosen].min(axis=0, initial=1.0)
-            terms = np.minimum(mins, cut).prod(axis=1) * (sign * (-1) ** len(chosen))
-            yield terms[1:] if mask == 0 else terms  # skip the empty subset
 
-    volume = math.fsum(itertools.chain.from_iterable(blocks()))
-    return UnionVolume(volume, volume)
-
-
-def _bracket(boxes: np.ndarray) -> UnionVolume:
+def _bracket(boxes: np.ndarray) -> Interval:
     """De Caen's lower and Hunter's upper bound on the union of boxes [0, b_j].
 
     With volumes v_i and intersections W_ij = prod(min(b_i, b_j)), W_ii = v_i,
@@ -165,24 +163,32 @@ def _bracket(boxes: np.ndarray) -> UnionVolume:
     total = float(vols.sum())
     tol, tiny = 8 * (d + k) * 2.0**-53, k * d * 2.0**-1074
     low = max(0.0, de_caen * (1.0 - tol) - tiny)
-    return UnionVolume(low, min(1.0, total - tree + tol * total + tiny))
+    return Interval(low, min(1.0, total - tree + tol * total + tiny))
 
 
-def union_box_volume(corners: np.ndarray, mode: str) -> UnionVolume:
+def union_box_volume(corners: np.ndarray, mode: str) -> Interval:
     """Bracket the volume of the union of boxes [0, t_j] (lower) or [t_j, 1] (upper).
 
-    Duplicate boxes and boxes inside another box add nothing and are dropped.
-    If at most ``EXACT_CORNER_CAP`` remain, inclusion-exclusion gives the volume
-    (``low == high``); otherwise :func:`_bracket` bounds it.
+    Duplicate boxes and boxes inside another box add nothing and are dropped;
+    [t, 1] lies in [s, 1] iff -t <= -s, and negation is exact.  If at most
+    ``EXACT_CORNER_CAP`` remain, inclusion-exclusion gives the volume up to a
+    rounding bound, and exactly if every remaining t lies on the 2^-p grid
+    with p = 53 // d: then 1 - t, each d-fold product of such numbers and
+    their sum are multiples of 2^-pd of at most unit size.  Otherwise
+    :func:`_bracket` bounds it.
     """
     if mode not in ("lower", "upper"):
         raise DomainError(f"mode must be 'lower' or 'upper', got {mode!r}")
     arr = np.asarray(corners, dtype=float)
     if arr.size == 0:
-        return UnionVolume(0.0, 0.0)
+        return Interval(0.0, 0.0)
     arr = as_points(arr, arr.shape[-1])
-    boxes = _maximal_boxes(arr if mode == "lower" else 1.0 - arr)
-    return _bracket(boxes) if boxes.shape[0] > EXACT_CORNER_CAP else _inclusion_exclusion(boxes)
+    kept = _maximal_boxes(arr if mode == "lower" else -arr)
+    boxes = kept if mode == "lower" else 1.0 + kept  # 1 + (-t) rounds as 1 - t does
+    if boxes.shape[0] > EXACT_CORNER_CAP:
+        return _bracket(boxes)
+    scaled = kept * 2.0 ** (53 // kept.shape[1])
+    return _inclusion_exclusion(boxes, bool((scaled == np.floor(scaled)).all()))
 
 
 @dataclass(frozen=True)
@@ -191,17 +197,13 @@ class MonotoneFoolingPair:
 
     The upper function is 1 except below some 0-classified point; the lower
     function is 0 except above some 1-classified point.  Their integrals differ
-    by a gap in ``[gap_low, gap_high]``, one value if ``provenance`` is
-    ``"exact"``; ``guaranteed_gap`` is the closed-form floor max(0, 1 - n 2^-d).
+    by a ``gap`` in the interval, at least the closed form 1 - n 2^-d.
     """
 
     lower_corners: np.ndarray  # points the probe mapped to 0
     upper_corners: np.ndarray  # points the probe mapped to 1
     dim: int
-    gap_low: float
-    gap_high: float
-    guaranteed_gap: float
-    provenance: str
+    gap: Interval
 
     @property
     def ell(self) -> int:
@@ -231,21 +233,18 @@ def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
     Classification always uses the probe step function, regardless of what
     oracle the algorithm was actually run on; that is exactly the adversary's
     move.  Repeated query points count in n but cannot change the volumes,
-    and no lower box meets an upper one, so the gap is at least 0.
+    and no lower box meets an upper one, so the gap lies in [0, 1].  Unless
+    both volumes are exact, each end is widened by 2^-52, more than its two
+    subtractions and the widening itself round by on [0, 1] (3 * 2^-54).
     """
     arr = as_points(points, dim)
     labels = threshold_values(arr)
-    vol_lower = union_box_volume(arr[labels == 0], "lower")
-    vol_upper = union_box_volume(arr[labels == 1], "upper")
-    return MonotoneFoolingPair(
-        lower_corners=arr[labels == 0],
-        upper_corners=arr[labels == 1],
-        dim=dim,
-        gap_low=max(0.0, (1.0 - vol_lower.high) - vol_upper.high),
-        gap_high=(1.0 - vol_lower.low) - vol_upper.low,
-        guaranteed_gap=2.0 * error_lower_bound(arr.shape[0], dim),
-        provenance="exact" if vol_lower.exact and vol_upper.exact else "bracket",
-    )
+    lower = union_box_volume(arr[labels == 0], "lower")
+    upper = union_box_volume(arr[labels == 1], "upper")
+    pad = 0.0 if lower.exact and upper.exact else 2.0**-52
+    gap = Interval(max(0.0, (1.0 - lower.high) - upper.high - pad),
+                   min(1.0, (1.0 - lower.low) - upper.low + pad))
+    return MonotoneFoolingPair(arr[labels == 0], arr[labels == 1], dim, gap)
 
 
 def error_lower_bound(n: int, dim: int) -> float:
@@ -271,7 +270,7 @@ def complexity_lower_bound(eps: float, dim: int) -> int:
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError("eps must be positive")
     if eps >= 0.5:
         return 0

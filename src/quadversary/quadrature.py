@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, RandomStream, as_points, uniform_blocks
+from .core import DomainError, EvalOracle, Interval, RandomStream, as_points, uniform_blocks
 
 __all__ = [
     "BracketEstimate",
@@ -40,15 +40,18 @@ __all__ = [
 class BracketEstimate:
     """Two-sided staircase estimate with a certified half-width.
 
-    For a monotone oracle the true integral lies in [lower_sum, upper_sum];
-    the bracket is a proof only under that assumption, which is not checked.
+    ``bracket`` holds the lower- and upper-corner averages, rounded to
+    nearest.  For a monotone oracle the true integral lies between them; the
+    bracket is a proof only under that assumption, which is not checked.
     """
 
-    lower_sum: float
-    upper_sum: float
-    estimate: float
+    bracket: Interval
     certified_error: float
     samples_used: int
+
+    @property
+    def estimate(self) -> float:
+        return (self.bracket.low + self.bracket.high) / 2.0
 
 
 # Largest slab of a grid walk, in nodes, unless one axis alone is longer.
@@ -117,9 +120,7 @@ def staircase_monotone(oracle: EvalOracle, cells_per_axis: int) -> BracketEstima
     lower = math.fsum(lower_sums) / m**d
     upper = math.fsum(upper_sums) / m**d
     return BracketEstimate(
-        lower_sum=lower,
-        upper_sum=upper,
-        estimate=(lower + upper) / 2.0,
+        bracket=Interval(lower, upper),
         certified_error=min((upper - lower) / 2.0, d / (2.0 * m)),
         samples_used=(m + 1) ** d,
     )

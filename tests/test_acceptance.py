@@ -96,13 +96,6 @@ def test_every_public_name_has_a_reader_outside_tests():
     assert not unread, f"public names that only tests read: {unread}"
 
 
-# Dataclass fields that nothing in src/ or bench/ reads, kept on purpose.
-_UNREAD_FIELDS_BY_DESIGN = {
-    "BracketEstimate.lower_sum",  # the bracket's two ends: tests check that the
-    "BracketEstimate.upper_sum",  # integral lies between them
-}
-
-
 def _dataclass_fields(path: Path) -> list[tuple[str, str]]:
     """(class name, field name) of every field of every ``@dataclass`` in the file."""
     return [
@@ -129,7 +122,7 @@ def test_every_dataclass_field_has_a_reader_outside_tests():
         f"{path.stem}.{cls}.{name}"
         for path in sorted(Path(quadversary.__file__).parent.glob("*.py"))
         for cls, name in _dataclass_fields(path)
-        if name not in loaded and f"{cls}.{name}" not in _UNREAD_FIELDS_BY_DESIGN
+        if name not in loaded
     ]
     assert not unread, f"dataclass fields that no code in src/ or bench/ reads: {unread}"
 

@@ -63,6 +63,22 @@ def test_adversary_monotone_json_export(tmp_path):
     assert len(obj["L"]) + len(obj["U"]) == 4
 
 
+def test_adversary_monotone_reports_exact_only_on_dyadic_corners(tmp_path):
+    common = ["adversary", "--class", "monotone", "--d", "6", "--format", "json"]
+    out = tmp_path / "random.json"
+    assert cli.main([*common, "--algorithm", "uniform-random", "--budget", "10", "--seed", "3",
+                     "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["provenance"] == "bracket"  # inclusion-exclusion ran on terms that round
+    gap = (1 - acceptance.fraction_union_volume(np.array(obj["L"]).reshape(-1, 6), "lower")
+           - acceptance.fraction_union_volume(np.array(obj["U"]).reshape(-1, 6), "upper"))
+    assert obj["gap_low"] <= gap <= obj["gap_high"]
+    out = tmp_path / "grid.json"
+    assert cli.main([*common, "--algorithm", "grid-scan", "--budget", "34",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["provenance"] == "exact"
+
+
 def test_adversary_monotone_bracket_at_high_dimension(tmp_path):
     out = tmp_path / "adv.csv"
     code = cli.main([

@@ -492,6 +492,8 @@ def test_complexity_lower_bound_equals_the_rational_formula():
             assert convex.complexity_lower_bound(eps, d, e0) == _fraction_bound(eps, d, e0)
     for eps in (eps0, 0.1, 0.5, 0.7):
         assert convex.complexity_lower_bound(eps, 12, eps0) == 0
+    with pytest.raises(DomainError, match="eps must be positive"):
+        convex.complexity_lower_bound(math.nan, 12, eps0)
     # the whole bench table: bounds --class convex --eps 0.01 --dmax 2000
     for d in range(1, 2001):
         assert convex.complexity_lower_bound(0.01, d, eps0) == _fraction_bound(0.01, d, eps0)

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadversary import monotone, quadrature
-from quadversary.acceptance import grid_union_volume
+from quadversary.acceptance import fraction_union_volume, grid_union_volume
 from quadversary.core import DomainError, RandomStream
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -171,8 +171,34 @@ def test_union_volume_bracket_contains_exact():
     for mode, boxes in (("lower", corners), ("upper", 1.0 - corners)):
         exact = monotone.union_box_volume(corners, mode)
         bracket = monotone._bracket(monotone._maximal_boxes(boxes))
-        assert exact.exact and not bracket.exact
+        assert exact.high - exact.low < 1e-12 and not bracket.exact
         assert bracket.low <= exact.low <= bracket.high
+
+
+@st.composite
+def _corner_sets(draw):
+    """Up to 12 corners in d <= 6: on the 2^-(53 // d) grid, arbitrary floats, or a mix."""
+    d = draw(st.integers(1, 6))
+    grid = st.integers(0, 2 ** (53 // d)).map(lambda i: i / 2 ** (53 // d))
+    coord = draw(st.sampled_from([grid, unit, st.one_of(grid, unit, st.just(2.0**-60))]))
+    rows = st.lists(coord, min_size=d, max_size=d)
+    return np.array(draw(st.lists(rows, min_size=1, max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corner_sets())
+@example(np.array([[2.0**-60, 0.5]]))  # 1 - 2^-60 rounds to 1.0, which lies on the grid
+def test_union_and_gap_intervals_hold_their_rational_values(corners):
+    for mode in ("lower", "upper"):
+        volume = monotone.union_box_volume(corners, mode)
+        truth = fraction_union_volume(corners, mode)
+        assert volume.low <= truth <= volume.high
+        assert not volume.exact or volume.low == truth
+    pair = monotone.build_fooling_pair(corners, corners.shape[1])
+    truth = (1 - fraction_union_volume(pair.lower_corners, "lower")
+             - fraction_union_volume(pair.upper_corners, "upper"))
+    assert pair.gap.low <= truth <= pair.gap.high
+    assert not pair.gap.exact or pair.gap.low == truth
 
 
 def _antichain(total: int, dim: int, cells: int, count: int, seed: int) -> np.ndarray:
@@ -199,24 +225,31 @@ def test_gap_of_incomparable_corners_contains_grid_count(count, provenance):
     upper = _antichain(28, 3, 16, count, seed=2)  # coordinate sum 1.75 >= 3/2
     gap = (1.0 - grid_union_volume(lower, "lower", 16)) - grid_union_volume(upper, "upper", 16)
     pair = monotone.build_fooling_pair(np.vstack([lower, upper]), 3)
-    assert pair.ell == count and pair.provenance == provenance
+    assert pair.ell == count and pair.gap.exact == (provenance == "exact")
     if provenance == "exact":
-        assert pair.gap_low == pair.gap_high == pytest.approx(gap, abs=1e-12)
+        assert pair.gap.low == pair.gap.high == pytest.approx(gap, abs=1e-12)
     else:
-        assert pair.gap_low <= gap <= pair.gap_high
-    assert pair.gap_low >= pair.guaranteed_gap - 1e-12
+        assert pair.gap.low <= gap <= pair.gap.high
+    assert pair.gap.low >= 2.0 * monotone.error_lower_bound(pair.n, 3) - 1e-12
 
 
 def test_dominated_and_duplicate_corners_leave_volume_bits_unchanged():
     gen = RandomStream(31).substream("pruning").generator()
-    for k, exact in ((8, True), (60, False)):
+    for k, narrow in ((8, True), (60, False)):
         corners = gen.random((k, 8))
         scale = gen.random((k, 1))  # each extra box lies inside its own corner's
         for mode, extra in (("lower", corners * scale), ("upper", 1.0 - (1.0 - corners) * scale)):
             volume = monotone.union_box_volume(corners, mode)
             padded = np.vstack([extra, corners, corners[::-1]])
-            assert volume.exact == exact
+            assert (volume.high - volume.low < 1e-12) == narrow
             assert monotone.union_box_volume(padded, mode) == volume
+    # Dyadic corners stay exact when non-dyadic dominated corners pad them.
+    corners = gen.integers(0, 9, size=(8, 8)) / 8
+    scale = gen.random((8, 1))
+    for mode, extra in (("lower", corners * scale), ("upper", 1.0 - (1.0 - corners) * scale)):
+        volume = monotone.union_box_volume(corners, mode)
+        assert volume.exact
+        assert monotone.union_box_volume(np.vstack([extra, corners]), mode) == volume
 
 
 def test_exact_volume_memory_stays_blocked():
@@ -232,15 +265,15 @@ def test_exact_volume_memory_stays_blocked():
         tracemalloc.stop()
     assert peak < 64 * 2**20  # one unblocked 2^20 x 20 table alone is about 170 MB
     bracket = monotone._bracket(monotone._maximal_boxes(corners))
-    assert volume.exact and bracket.low <= volume.low <= bracket.high
+    assert volume.high - volume.low < 1e-12 and bracket.low <= volume.low <= bracket.high
 
 
 def test_exact_gap_values():
     pair = monotone.build_fooling_pair(np.zeros((0, 3)), 3)
-    assert pair.gap_low == 1.0 and pair.guaranteed_gap == 1.0
+    assert pair.gap.low == 1.0 and monotone.error_lower_bound(pair.n, 3) == 0.5
     for d in range(1, 21):
         pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
-        assert pair.gap_low == pair.gap_high == 1.0 - 2.0 ** (-d)
+        assert pair.gap.low == pair.gap.high == 1.0 - 2.0 ** (-d)
 
 
 def test_exact_gap_mixed_instance_against_grid_oracle():
@@ -251,8 +284,8 @@ def test_exact_gap_mixed_instance_against_grid_oracle():
     )
     assert oracle_gap == pytest.approx(0.68, abs=1e-12)
     pair = monotone.build_fooling_pair(np.vstack([lower, upper]), 2)
-    assert pair.gap_low == pytest.approx(0.68, abs=1e-12)
-    assert pair.gap_low >= pair.guaranteed_gap == 0.5
+    assert pair.gap.low == pytest.approx(0.68, abs=1e-12)
+    assert pair.gap.low >= 2.0 * monotone.error_lower_bound(pair.n, 2) == 0.5
 
 
 def test_pair_functions_agree_with_probe_on_transcript():
@@ -263,7 +296,7 @@ def test_pair_functions_agree_with_probe_on_transcript():
         probe = monotone.threshold_values(pts).astype(float)
         assert np.array_equal(pair.fplus_values(pts), probe)
         assert np.array_equal(pair.fminus_values(pts), probe)
-        assert pair.gap_low >= pair.guaranteed_gap - 1e-12
+        assert pair.gap.low >= 2.0 * monotone.error_lower_bound(pair.n, d) - 1e-12
 
 
 def _dense_holders(points, corners):
@@ -368,6 +401,8 @@ def test_complexity_lower_bound_equals_the_rational_formula():
         assert monotone.complexity_lower_bound(eps, d) == _fraction_bound(eps, d)
     for eps in (0.5, 0.5000001, 3.0):
         assert monotone.complexity_lower_bound(eps, 9) == 0
+    with pytest.raises(DomainError, match="eps must be positive"):
+        monotone.complexity_lower_bound(math.nan, 9)
     # the whole bench table: bounds --class monotone --eps 0.25 --dmax 2000
     for d in range(1, 2001):
         assert monotone.complexity_lower_bound(0.25, d) == _fraction_bound(0.25, d)
@@ -384,6 +419,9 @@ def test_certificate_dominates_closed_form_for_every_algorithm():
             alg = algorithms.make_algorithm(algorithm_id, d, budget, RandomStream(55))
             transcript, _ = run_algorithm(alg, oracle, budget)
             pair = monotone.build_fooling_pair(transcript.points, d)
-            assert pair.provenance == "exact"
-            certificate = pair.gap_low / 2.0
+            if algorithm_id == "uniform-random":  # inclusion-exclusion ran on rounding terms
+                assert pair.gap.high - pair.gap.low < 1e-12
+            else:  # dyadic corners
+                assert pair.gap.exact
+            certificate = pair.gap.low / 2.0
             assert certificate >= monotone.error_lower_bound(pair.n, d) - 1e-12

@@ -25,25 +25,25 @@ def orthant_mixture_integral(anchors: np.ndarray, weights: np.ndarray) -> float:
 
 def test_staircase_ramp_two_cells():
     bracket = quadrature.staircase_monotone(algorithms.make_oracle("affine", 1), 2)
-    assert bracket.lower_sum == 0.25
-    assert bracket.upper_sum == 0.75
+    assert bracket.bracket.low == 0.25
+    assert bracket.bracket.high == 0.75
     assert bracket.estimate == 0.5
     assert bracket.certified_error == 0.25
     assert bracket.samples_used == 3
-    assert bracket.lower_sum <= 0.5 <= bracket.upper_sum
+    assert bracket.bracket.low <= 0.5 <= bracket.bracket.high
 
 
 def test_staircase_constant_is_exact():
     oracle = EvalOracle(dim=2, fn=lambda pts: np.full(pts.shape[0], 0.7))
     bracket = quadrature.staircase_monotone(oracle, 3)
-    assert bracket.lower_sum == bracket.upper_sum == 0.7
+    assert bracket.bracket.low == bracket.bracket.high == 0.7
     assert bracket.certified_error == 0.0
 
 
 def test_staircase_brackets_the_step_integrand():
     # the step at half-sum integrates to exactly 1/2 by the x -> 1-x symmetry
     bracket = quadrature.staircase_monotone(algorithms.make_oracle("threshold", 2), 4)
-    assert bracket.lower_sum <= 0.5 <= bracket.upper_sum
+    assert bracket.bracket.low <= 0.5 <= bracket.bracket.high
     assert bracket.certified_error <= 2 / (2 * 4)
 
 
@@ -57,7 +57,7 @@ def test_staircase_brackets_random_monotone_mixtures():
         oracle = orthant_mixture_oracle(anchors, weights)
         truth = orthant_mixture_integral(anchors, weights)
         bracket = quadrature.staircase_monotone(oracle, int(gen.integers(2, 5)))
-        assert bracket.lower_sum - 1e-12 <= truth <= bracket.upper_sum + 1e-12
+        assert bracket.bracket.low - 1e-12 <= truth <= bracket.bracket.high + 1e-12
         assert bracket.certified_error <= d / (2.0 * 2) + 1e-12
 
 
@@ -68,7 +68,7 @@ def test_builtin_integrals_lie_in_their_staircase_brackets(oracle_id, d):
     # integral; at m = 8 the brackets are narrow enough to catch two oracles'
     # integrals trading places.
     bracket = quadrature.staircase_monotone(algorithms.make_oracle(oracle_id, d), 8)
-    assert bracket.lower_sum <= algorithms.true_integral(oracle_id, d) <= bracket.upper_sum
+    assert bracket.bracket.low <= algorithms.true_integral(oracle_id, d) <= bracket.bracket.high
 
 
 def test_certified_error_never_exceeds_telescoping_cap():
@@ -113,8 +113,8 @@ def test_slab_walk_matches_the_dense_grid(monkeypatch, slab_nodes, d, m):
         nodes = np.linspace(0.0, 1.0, m + 1)
         dense = oracle.evaluate(quadrature._full_grid(nodes, d)).reshape((m + 1,) * d)
         bracket = quadrature.staircase_monotone(oracle, m)
-        assert abs(bracket.lower_sum - dense[(slice(0, m),) * d].mean()) <= 1e-15
-        assert abs(bracket.upper_sum - dense[(slice(1, m + 1),) * d].mean()) <= 1e-15
+        assert abs(bracket.bracket.low - dense[(slice(0, m),) * d].mean()) <= 1e-15
+        assert abs(bracket.bracket.high - dense[(slice(1, m + 1),) * d].mean()) <= 1e-15
         corners = oracle.evaluate(quadrature._full_grid(np.arange(m) / m, d))
         approx = quadrature.pc_approximate(oracle, m)
         assert np.array_equal(approx.values, corners.reshape((m,) * d))
