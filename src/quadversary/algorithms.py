@@ -54,13 +54,12 @@ def true_integral(oracle_id: str, dim: int) -> float:
     return _ORACLES[oracle_id][1](dim)
 
 
-def _digits(j: int, base: int, dim: int) -> list[int]:
-    """The dim base-``base`` digits of j, most significant first."""
-    digits = []
-    for _ in range(dim):
-        j, r = divmod(j, base)
-        digits.append(r)
-    return digits[::-1]
+def _digits(j: np.ndarray, base: int, dim: int) -> np.ndarray:
+    """The dim base-``base`` digits of each index in j, most significant first, as rows."""
+    digits = np.empty((j.shape[0], dim), dtype=np.int64)
+    for axis in range(dim - 1, -1, -1):
+        j, digits[:, axis] = np.divmod(j, base)
+    return digits
 
 
 def _lattice_side(dim: int, budget: int) -> int:
@@ -77,46 +76,51 @@ def _lattice_side(dim: int, budget: int) -> int:
 
 @dataclass(frozen=True)
 class FixedDesign:
-    """Non-adaptive algorithm: queries point(0), ..., point(count - 1), outputs their mean.
+    """Non-adaptive algorithm: queries points(0, count) in one block, outputs their mean.
 
-    Query j depends only on j and the design's own configuration, never on
-    the values seen, so replaying a run reproduces the transcript bitwise.
-    With no queries the output is 1/2, the optimal constant.
+    ``points(lo, hi)`` returns design points lo, ..., hi - 1 as a (hi - lo, d)
+    array.  Point j depends only on j and the design's own configuration,
+    never on the values seen, so replaying a run reproduces the transcript
+    bitwise.  With no queries the output is 1/2, the optimal constant.
     """
 
     dim: int
     count: int
-    point: Callable[[int], np.ndarray]
+    points: Callable[[int, int], np.ndarray]
 
     def next_query(self, transcript: Transcript) -> np.ndarray | None:
-        return self.point(transcript.n) if transcript.n < self.count else None
+        return self.points(transcript.n, self.count) if transcript.n < self.count else None
 
     def finalize(self, transcript: Transcript) -> float:
         return float(transcript.values.mean()) if transcript.n else 0.5
 
 
 def _uniform_random(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
-    """Budget-many seeded uniform points; query j draws from its own substream."""
+    """Budget-many seeded uniform points; point j draws from its own substream."""
     queries = stream.substream("uniform-random", "query")
-    return FixedDesign(dim, budget, lambda j: queries.substream(j).generator().random(dim))
+
+    def points(lo: int, hi: int) -> np.ndarray:
+        return np.array([queries.substream(j).generator().random(dim) for j in range(lo, hi)])
+
+    return FixedDesign(dim, budget, points)
 
 
 def _grid_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
-    """Cell centers (i + 1/2) / m of the smallest m^d lattice, i the base-m digits of query j."""
+    """Cell centers (i + 1/2) / m of the smallest m^d lattice, i the base-m digits of point j."""
     m = _lattice_side(dim, budget)
-    return FixedDesign(dim, budget, lambda j: np.array([(i + 0.5) / m for i in _digits(j, m, dim)]))
+    return FixedDesign(dim, budget, lambda lo, hi: (_digits(np.arange(lo, hi), m, dim) + 0.5) / m)
 
 
 def _vertex_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
     """Cube vertices in lexicographic order, up to the budget."""
     return FixedDesign(
-        dim, min(budget, 2**dim), lambda j: np.array(_digits(j, 2, dim), dtype=float)
+        dim, min(budget, 2**dim), lambda lo, hi: _digits(np.arange(lo, hi), 2, dim).astype(float)
     )
 
 
 # id -> factory (dim, budget, stream) -> algorithm, in the order the CLI lists them.
 _ALGORITHMS: dict[str, Callable[[int, int, RandomStream], AdaptiveCubature]] = {
-    "constant-half": lambda dim, budget, stream: FixedDesign(dim, 0, None),  # no query, no point
+    "constant-half": lambda dim, budget, stream: FixedDesign(dim, 0, None),  # no query, no points
     "uniform-random": _uniform_random,
     "grid-scan": _grid_scan,
     "vertex-scan": _vertex_scan,

@@ -9,7 +9,7 @@ Subcommands
     t0         compute the certified height threshold and accuracy cutoff
     quad       run baseline quadrature on built-in integrands
     verify     run the acceptance criteria (quadversary.acceptance), the same
-               checks as the pytest acceptance suite; takes about 17 s on
+               checks as the pytest acceptance suite; takes about 20 s on
                2 vCPUs
 
 Every report command takes ``--out``; ``adversary`` and ``quad`` also take

@@ -437,10 +437,15 @@ def chernoff_factor_min(s: float) -> ChernoffBound:
 
     The factor is convex in the rate (its second derivative is an integral
     of a square), so bracket growth followed by golden section finds the
-    global minimum.  For s >= 1/3 the infimum is 1, approached at rate 0.
+    global minimum.  Its slope at rate 0 is the integral of 2 s x - x^2, which
+    is s - 1/3; so this returns the exact minimum for s > 1/3, the factor 1 at
+    rate 0, without a search.  The float test ``s > 1.0 / 3.0`` decides the
+    real s > 1/3 exactly, because the float nearest 1/3 lies below it.
     """
     if not (0.0 < s <= 0.5):
         raise DomainError("scale s must lie in (0, 1/2]")
+    if s > 1.0 / 3.0:
+        return ChernoffBound(s=s, alpha_star=0.0, g_min=1.0, certified=False)
 
     def fn(alpha: float) -> float:
         return chernoff_factor(s, alpha)

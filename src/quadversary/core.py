@@ -3,6 +3,7 @@
 Integrands are [0, 1]-valued functions on the closed unit cube [0, 1]^d.  An
 algorithm may query finitely many function values, each query point possibly
 depending on the values seen so far, and must then commit to a single output.
+Queries come one point or one block of points at a time.
 Everything downstream (adversaries, bound calculators, baselines) works with
 the transcript produced by :func:`run_algorithm`: an (n, d) array of query
 points and the n values returned there.
@@ -118,10 +119,13 @@ class Transcript:
 class AdaptiveCubature(Protocol):
     """Interface every registered cubature algorithm implements.
 
-    ``next_query`` maps the transcript so far to the next sample point, a
-    length-d array, or ``None`` to stop querying; it must be deterministic
-    given the algorithm's own configuration (including any seed).
-    ``finalize`` maps the complete transcript to the output value.
+    ``next_query`` maps the transcript so far to the next query: one point, a
+    length-d array, or a block of k >= 1 points, a (k, d) array, or ``None``
+    to stop querying.  A block's points depend only on the values seen before
+    it, so an adaptive algorithm asks one point at a time and a non-adaptive
+    one may ask all its points in one block.  ``next_query`` must be
+    deterministic given the algorithm's own configuration (including any
+    seed).  ``finalize`` maps the complete transcript to the output value.
     """
 
     dim: int
@@ -136,21 +140,26 @@ def run_algorithm(
 ) -> tuple[Transcript, float]:
     """Drive one algorithm run against one oracle under a query budget.
 
-    Returns the full transcript and the algorithm's output.  Requesting a
-    query once ``budget`` records exist raises :class:`BudgetExceededError`
-    (an error, not a truncation, so the reported n stays well defined).
-    Repeated queries at the same point are allowed and each one counts.
+    Returns the full transcript and the algorithm's output.  Each query, one
+    point or a block of k points, is evaluated by one ``oracle.evaluate``
+    call and recorded in order, so a block yields the same transcript as its
+    points asked one at a time.  A query that would take the record count
+    past ``budget`` raises :class:`BudgetExceededError` before any of it is
+    evaluated (an error, not a truncation, so the reported n stays well
+    defined); an empty block raises :class:`DomainError`.  Repeated queries
+    at the same point are allowed and each one counts.
 
-    Records go into buffers that double when full, and each transcript handed
-    to the algorithm is a read-only view of the first n rows, so a run costs
-    time linear in n.  Rows once written are never rewritten, which keeps
-    every earlier view valid.
+    Records go into buffers that at least double when full, and each
+    transcript handed to the algorithm is a read-only view of the first n
+    rows, so a run costs time linear in n.  Rows once written are never
+    rewritten, which keeps every earlier view valid.
     """
     if budget < 0:
         raise DomainError("budget must be nonnegative")
     if alg.dim != oracle.dim:
         raise DomainError(f"algorithm dim {alg.dim} does not match oracle dim {oracle.dim}")
-    points = np.empty((16, oracle.dim))  # never `budget` rows: budgets are user input
+    dim = oracle.dim
+    points = np.empty((16, dim))  # never `budget` rows: budgets are user input
     values = np.empty(16)
     n = 0
     while True:
@@ -158,18 +167,24 @@ def run_algorithm(
         query = alg.next_query(transcript)
         if query is None:
             break
-        if n >= budget:
-            raise BudgetExceededError(f"algorithm requested query {n + 1} with budget {budget}")
-        row = np.asarray(query, dtype=float)
-        if row.shape != (oracle.dim,):
-            raise DomainError(f"query has shape {row.shape}, oracle expects ({oracle.dim},)")
-        value = oracle.evaluate(row[None, :])[0]
-        if n == values.shape[0]:
-            points = np.concatenate((points, np.empty_like(points)))
-            values = np.concatenate((values, np.empty_like(values)))
-        points[n] = row
-        values[n] = value
-        n += 1
+        block = np.asarray(query, dtype=float)
+        if block.shape == (dim,):
+            block = block[None, :]
+        if block.ndim != 2 or block.shape[1] != dim or block.shape[0] == 0:
+            raise DomainError(
+                f"query has shape {block.shape}, oracle expects ({dim},) or (k, {dim}) with k >= 1"
+            )
+        k = block.shape[0]
+        if n + k > budget:
+            raise BudgetExceededError(f"algorithm requested query {n + k} with budget {budget}")
+        block_values = oracle.evaluate(block)
+        if n + k > values.shape[0]:
+            grow = max(values.shape[0], n + k - values.shape[0])
+            points = np.concatenate((points, np.empty((grow, dim))))
+            values = np.concatenate((values, np.empty(grow)))
+        points[n : n + k] = block
+        values[n : n + k] = block_values
+        n += k
     return transcript, float(alg.finalize(transcript))
 
 

@@ -400,6 +400,63 @@ def test_chernoff_factor_min_certification():
         convex.chernoff_factor_min(0.75)
 
 
+def _searched_factor_min(s: float) -> tuple[float, float]:
+    """(alpha*, g_min) by bracket growth and golden section at every s, no closed form."""
+
+    def fn(alpha):
+        return convex.chernoff_factor(s, alpha)
+
+    before_alpha, prev_alpha, prev_value, alpha = 0.0, 0.0, 1.0, 1.0
+    while True:
+        value = fn(alpha)
+        if value > prev_value:
+            break
+        before_alpha = prev_alpha
+        prev_alpha, prev_value = alpha, value
+        alpha *= 2.0
+    alpha_star, g_min = convex._golden_section_min(fn, before_alpha, alpha, convex._RATE_TOL)
+    if prev_value < g_min and prev_alpha > 0.0:
+        alpha_star, g_min = prev_alpha, prev_value
+    if g_min > 1.0:
+        alpha_star, g_min = min(alpha_star, convex._RATE_TOL), 1.0
+    return alpha_star, g_min
+
+
+def _factor_calls(monkeypatch) -> list:
+    calls = []
+    factor = convex.chernoff_factor
+    monkeypatch.setattr(convex, "chernoff_factor", lambda s, a: calls.append(a) or factor(s, a))
+    return calls
+
+
+ABOVE_THIRD = (math.nextafter(1.0 / 3.0, 1.0), 0.34, 0.4, 0.45, 0.5)
+
+
+@pytest.mark.parametrize("s", ABOVE_THIRD)
+def test_factor_min_above_one_third_is_one_at_rate_zero(s, monkeypatch):
+    # the slope at rate 0 is s - 1/3 > 0 and the factor is convex in the rate
+    searched = _searched_factor_min(s)[1]
+    if s >= 0.34:
+        assert searched == 1.0  # the search finds no value below 1 either
+    else:  # next to 1/3, libm rounding puts the searched value a few ulps below 1
+        assert 1.0 - 4 * 2.0**-53 <= searched < 1.0
+    calls = _factor_calls(monkeypatch)
+    bound = convex.chernoff_factor_min(s)
+    assert (bound.alpha_star, bound.g_min, bound.certified) == (0.0, 1.0, False)
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", [1.0 / 3.0, math.nextafter(1.0 / 3.0, 0.0), 0.3, 0.25, 0.1])
+def test_factor_min_at_or_below_one_third_keeps_the_search(s, monkeypatch):
+    # float(1/3) lies below 1/3, where the slope at rate 0 is negative
+    assert 1.0 / 3.0 < Fraction(1, 3)
+    expected = _searched_factor_min(s)
+    calls = _factor_calls(monkeypatch)
+    bound = convex.chernoff_factor_min(s)
+    assert (bound.alpha_star, bound.g_min) == expected
+    assert bound.alpha_star > 0.0 and len(calls) > 10
+
+
 def test_chernoff_factor_convex_in_rate():
     alphas = np.linspace(0.0, 12.0, 25)
     values = [convex.chernoff_factor(0.25, float(a)) for a in alphas]

@@ -289,3 +289,164 @@ def test_huge_budget_allocates_nothing_of_budget_size():
         tracemalloc.stop()
     assert transcript.n == 0 and output == 0.5
     assert peak < 1_000_000
+
+
+def _lattice_side(dim, budget):
+    m = 1
+    while m**dim < budget:
+        m += 1
+    return m
+
+
+def _digits(j, base, dim):
+    digits = []
+    for _ in range(dim):
+        j, r = divmod(j, base)
+        digits.append(r)
+    return digits[::-1]
+
+
+def _reference_design(algorithm_id, dim, budget, stream):
+    """(count, point j) of each registered algorithm, one point per call."""
+    if algorithm_id == "constant-half":
+        return 0, None
+    if algorithm_id == "uniform-random":
+        queries = stream.substream("uniform-random", "query")
+        return budget, lambda j: queries.substream(j).generator().random(dim)
+    if algorithm_id == "grid-scan":
+        m = _lattice_side(dim, budget)
+        return budget, lambda j: np.array([(i + 0.5) / m for i in _digits(j, m, dim)])
+    assert algorithm_id == "vertex-scan"
+    return min(budget, 2**dim), lambda j: np.array(_digits(j, 2, dim), dtype=float)
+
+
+def _one_row_at_a_time(algorithm_id, oracle, budget, stream):
+    """Points, values and output of a registered algorithm, one oracle call per point."""
+    count, point = _reference_design(algorithm_id, oracle.dim, budget, stream)
+    rows = [point(j) for j in range(count)]
+    values = np.array([oracle.evaluate(row[None, :])[0] for row in rows])
+    points = np.array(rows).reshape(count, oracle.dim)
+    return points, values, (float(values.mean()) if count else 0.5)
+
+
+BLOCK_CASES = ((1, 7), (2, 4000), (3, 0), (6, 34), (10, 100))
+
+
+@pytest.mark.parametrize("oracle_id", ["threshold", "affine", "zero"])
+@pytest.mark.parametrize("dim, budget", BLOCK_CASES)
+def test_block_runs_equal_one_row_at_a_time(oracle_id, dim, budget):
+    # at (2, 4000) the threshold probe labels the block through its filtered path
+    if oracle_id == "zero":
+        oracle = algorithms.zero_oracle(dim)
+    else:
+        oracle = algorithms.make_oracle(oracle_id, dim)
+    stream = RandomStream(11).substream("algorithm")
+    for algorithm_id in algorithms.ALGORITHM_IDS:
+        alg = algorithms.make_algorithm(algorithm_id, dim, budget, stream)
+        transcript, output = run_algorithm(alg, oracle, budget)
+        points, values, expected = _one_row_at_a_time(algorithm_id, oracle, budget, stream)
+        assert transcript.points.tobytes() == points.tobytes(), algorithm_id
+        assert transcript.values.tobytes() == values.tobytes(), algorithm_id
+        assert repr(output) == repr(expected), algorithm_id
+
+
+def test_vertex_scan_beyond_the_vertex_count_stops_at_every_vertex():
+    for dim, budget in ((1, 7), (2, 4000), (3, 9)):
+        alg = algorithms.make_algorithm("vertex-scan", dim, budget, RandomStream(0))
+        transcript, _ = run_algorithm(alg, algorithms.make_oracle("threshold", dim), budget)
+        vertices = itertools.product((0.0, 1.0), repeat=dim)
+        assert transcript.points.tolist() == [list(v) for v in vertices]
+
+
+def _counting_oracle(dim):
+    calls = []
+    affine = algorithms.make_oracle("affine", dim)
+    return EvalOracle(dim, lambda pts: calls.append(pts.shape[0]) or affine.fn(pts)), calls
+
+
+def test_fixed_design_runs_make_one_oracle_call():
+    for algorithm_id in algorithms.ALGORITHM_IDS:
+        oracle, calls = _counting_oracle(3)
+        alg = algorithms.make_algorithm(algorithm_id, 3, 20, RandomStream(0))
+        transcript, _ = run_algorithm(alg, oracle, budget=20)
+        assert calls == ([transcript.n] if transcript.n else []), algorithm_id
+        assert transcript.n == alg.count
+
+
+@dataclass
+class Blocks:
+    """Asks the given blocks in turn, block i filled with the value i / 10."""
+
+    dim: int
+    sizes: tuple
+    asked: int = 0
+
+    def next_query(self, transcript):
+        self.asked += 1
+        assert self.asked <= len(self.sizes) + 1, "the run asked again after an empty block"
+        done = np.cumsum((0, *self.sizes))
+        i = int(np.searchsorted(done, transcript.n))
+        return np.full((self.sizes[i], self.dim), i / 10.0) if i < len(self.sizes) else None
+
+    def finalize(self, transcript):
+        return 0.0
+
+
+def test_a_block_past_the_budget_raises_before_any_evaluation():
+    oracle, calls = _counting_oracle(2)
+    with pytest.raises(BudgetExceededError):
+        run_algorithm(Blocks(2, (5,)), oracle, budget=4)
+    assert calls == []
+    with pytest.raises(BudgetExceededError):
+        run_algorithm(Blocks(2, (2, 3)), oracle, budget=4)
+    assert calls == [2]  # the first block fit; the second was never evaluated
+    longer = algorithms.make_algorithm("grid-scan", 2, 9, RandomStream(0))
+    with pytest.raises(BudgetExceededError):  # a design longer than the run's budget
+        run_algorithm(longer, oracle, budget=8)
+    assert calls == [2]
+
+
+def test_empty_and_misshapen_blocks_are_rejected():
+    oracle, calls = _counting_oracle(2)
+    with pytest.raises(DomainError):  # an empty block would never advance the run
+        run_algorithm(Blocks(2, (0,)), oracle, budget=4)
+    with pytest.raises(DomainError):
+        run_algorithm(Blocks(2, (1, 0)), oracle, budget=4)
+
+    @dataclass(frozen=True)
+    class Shaped:
+        dim: int
+        shape: tuple
+
+        def next_query(self, transcript):
+            return np.full(self.shape, 0.5)
+
+        def finalize(self, transcript):
+            return 0.0
+
+    for shape in ((3,), (1, 3), (2, 1), (1, 1, 2), ()):
+        with pytest.raises(DomainError):
+            run_algorithm(Shaped(2, shape), oracle, budget=4)
+    assert calls == [1]  # only Blocks(2, (1, 0))'s first block was evaluated
+
+
+def test_mixed_blocks_and_points_keep_saved_transcripts_valid():
+    sizes = (1, 5, 40, 1, 200, 3)  # the third and fifth blocks outgrow the doubled buffers
+
+    @dataclass
+    class SavingBlocks(Blocks):
+        seen: list = field(default_factory=list)
+
+        def next_query(self, transcript):
+            self.seen.append(transcript)
+            query = super().next_query(transcript)
+            return query[0] if query is not None and query.shape[0] == 1 else query
+
+    alg = SavingBlocks(3, sizes)
+    final, _ = run_algorithm(alg, algorithms.make_oracle("affine", 3), budget=sum(sizes))
+    assert final.n == sum(sizes) and len(alg.seen) == len(sizes) + 1
+    for saved, n in zip(alg.seen, np.cumsum((0, *sizes))):
+        assert saved.n == n
+        assert np.array_equal(saved.points, final.points[:n])
+        assert np.array_equal(saved.values, final.values[:n])
+    assert final.points[:, 0].tolist() == [i / 10.0 for i, k in enumerate(sizes) for _ in range(k)]
