@@ -238,7 +238,7 @@ def criterion_08_ball_cover_has_no_violations() -> str:
         chosen = gen.choice(2**d, size=count, replace=False)
         vertices = np.array([[(v >> k) & 1 for k in range(d)] for v in chosen], dtype=float)
         result = convex.elekes_cover_check(vertices, 10_000, RandomStream(310).substream(trial))
-        _require(result.ok, f"violation at {result.counterexample}")
+        _require(result is None, f"violation at {result}")
     return "20 instances x 1e4 sampled hull points all inside the vertex balls"
 
 

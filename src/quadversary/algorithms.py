@@ -76,20 +76,21 @@ def _lattice_side(dim: int, budget: int) -> int:
 
 @dataclass(frozen=True)
 class FixedDesign:
-    """Non-adaptive algorithm: queries points(0, count) in one block, outputs their mean.
+    """Non-adaptive algorithm: queries its (count, d) points in one block, outputs their mean.
 
-    ``points(lo, hi)`` returns design points lo, ..., hi - 1 as a (hi - lo, d)
-    array.  Point j depends only on j and the design's own configuration,
-    never on the values seen, so replaying a run reproduces the transcript
-    bitwise.  With no queries the output is 1/2, the optimal constant.
+    Point j depends only on j and the design's own configuration, never on
+    the values seen, so replaying a run reproduces the transcript bitwise.
+    With no points the output is 1/2, the optimal constant.
     """
 
-    dim: int
-    count: int
-    points: Callable[[int, int], np.ndarray]
+    points: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     def next_query(self, transcript: Transcript) -> np.ndarray | None:
-        return self.points(transcript.n, self.count) if transcript.n < self.count else None
+        return self.points[transcript.n :] if transcript.n < len(self.points) else None
 
     def finalize(self, transcript: Transcript) -> float:
         return float(transcript.values.mean()) if transcript.n else 0.5
@@ -98,29 +99,24 @@ class FixedDesign:
 def _uniform_random(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
     """Budget-many seeded uniform points; point j draws from its own substream."""
     queries = stream.substream("uniform-random", "query")
-
-    def points(lo: int, hi: int) -> np.ndarray:
-        return np.array([queries.substream(j).generator().random(dim) for j in range(lo, hi)])
-
-    return FixedDesign(dim, budget, points)
+    rows = [queries.substream(j).generator().random(dim) for j in range(budget)]
+    return FixedDesign(np.array(rows).reshape(-1, dim))
 
 
 def _grid_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
     """Cell centers (i + 1/2) / m of the smallest m^d lattice, i the base-m digits of point j."""
     m = _lattice_side(dim, budget)
-    return FixedDesign(dim, budget, lambda lo, hi: (_digits(np.arange(lo, hi), m, dim) + 0.5) / m)
+    return FixedDesign((_digits(np.arange(budget), m, dim) + 0.5) / m)
 
 
 def _vertex_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
     """Cube vertices in lexicographic order, up to the budget."""
-    return FixedDesign(
-        dim, min(budget, 2**dim), lambda lo, hi: _digits(np.arange(lo, hi), 2, dim).astype(float)
-    )
+    return FixedDesign(_digits(np.arange(min(budget, 2**dim)), 2, dim).astype(float))
 
 
 # id -> factory (dim, budget, stream) -> algorithm, in the order the CLI lists them.
 _ALGORITHMS: dict[str, Callable[[int, int, RandomStream], AdaptiveCubature]] = {
-    "constant-half": lambda dim, budget, stream: FixedDesign(dim, 0, None),  # no query, no points
+    "constant-half": lambda dim, budget, stream: FixedDesign(np.zeros((0, dim))),
     "uniform-random": _uniform_random,
     "grid-scan": _grid_scan,
     "vertex-scan": _vertex_scan,

@@ -117,6 +117,8 @@ def cmd_adversary(args) -> int:
     _check_d_and_seed(args)
     if args.budget < 0:
         raise ConfigError("budget must be nonnegative")
+    if args.problem_class == "convex" and args.mc_samples < 1:
+        raise ConfigError("mc-samples must be at least 1")
     dim = args.d
     config = {"class": args.problem_class, "d": dim, "budget": args.budget,
               "seed": args.seed, "algorithm": args.algorithm}
@@ -151,8 +153,6 @@ def cmd_adversary(args) -> int:
         return _finish(out, "adversary", config,
                        f"adversary monotone d={dim} n={pair.n} certified>={certified!r}")
 
-    if args.mc_samples < 1:
-        raise ConfigError("mc-samples must be at least 1")
     oracle = algorithms.zero_oracle(dim)
     transcript, _ = run_algorithm(alg, oracle, args.budget)
     estimate = convex.empirical_error_lower_bound(

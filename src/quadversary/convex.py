@@ -28,18 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import lp
-from .core import DomainError, RandomStream, as_points, uniform_blocks
+from .core import _BLOCK_ELEMENTS, DomainError, RandomStream, as_points, uniform_blocks
 from .monotone import ConvergenceError
 
 __all__ = [
     "CERTIFICATION_LIMIT",
     "ChernoffBound",
-    "CoverCheck",
     "HeightThreshold",
     "MaximalConvexEvaluator",
     "McEstimate",
@@ -124,9 +123,9 @@ class MaximalConvexEvaluator:
         self._constraints = _lift(as_points(points, dim))
         self._objective = np.ones(self._constraints.shape[1])
         m = self._constraints.shape[0]
-        # Duals and inverses of the cached bases, in buffers that double
-        # when full; ``_rows`` maps a basis to its row.
-        self._rows: dict[tuple[int, ...], int] = {}
+        # Cached bases, and their duals and inverses in cache order, in
+        # buffers that double when full.
+        self._bases: set[tuple[int, ...]] = set()
         self._duals = np.empty((16, m))
         self._inverses = np.empty((16, m, m))
         self._batch = 1  # queries in the next batched solve
@@ -135,10 +134,10 @@ class MaximalConvexEvaluator:
         """Append the bases of a batched solution not cached yet; count them."""
         fresh = []
         for j, key in enumerate(map(tuple, solution.basis.tolist())):
-            if key not in self._rows:
-                self._rows[key] = len(self._rows)
+            if key not in self._bases:
+                self._bases.add(key)
                 fresh.append(j)
-        end = len(self._rows)
+        end = len(self._bases)
         if end > self._duals.shape[0]:
             size = max(end, 2 * self._duals.shape[0])
             for name in ("_duals", "_inverses"):
@@ -168,26 +167,20 @@ class MaximalConvexEvaluator:
         n_q = rhs.shape[1]
         unresolved = np.ones(n_q, dtype=bool)
         low = np.full(n_q, np.inf)  # running minimum of y.rhs over the cache
-        self._sweep(0, len(self._rows), rhs, best, unresolved, low)
+        self._sweep(0, rhs, best, unresolved, low)
         while unresolved.any():
             todo = np.flatnonzero(unresolved)[: self._batch]
             solution = lp.solve(self._objective, self._constraints, rhs[:, todo].T)
             best[todo] = solution.value
             unresolved[todo] = False
-            first = len(self._rows)
+            first = len(self._bases)
             self._batch = max(1, 2 * self._cache(solution))
-            self._sweep(first, len(self._rows), rhs, best, unresolved, low)
+            self._sweep(first, rhs, best, unresolved, low)
 
-    def _sweep(
-        self,
-        first: int,
-        end: int,
-        rhs: np.ndarray,
-        best: np.ndarray,
-        unresolved: np.ndarray,
-        low: np.ndarray,
-    ) -> None:
-        """Resolve what cache rows ``first:end`` can and update the minima."""
+    def _sweep(self, first: int, rhs: np.ndarray, best: np.ndarray, unresolved: np.ndarray,
+               low: np.ndarray) -> None:
+        """Resolve what the cache rows from ``first`` on can and update the minima."""
+        end = len(self._bases)
         for lo in range(first, end, _SWEEP_BASES):
             idx = np.flatnonzero(unresolved)
             if idx.size == 0:
@@ -195,22 +188,17 @@ class MaximalConvexEvaluator:
             cols = rhs[:, idx]
             objective = self._duals[lo : min(end, lo + _SWEEP_BASES)] @ cols
             low[idx] = np.minimum(low[idx], objective.min(axis=0))
-            # Feasibility is tested only on (basis, query) pairs near the
-            # minimum, grouped by basis in cache order, so a query resolves
-            # at the first cached basis that covers it.
-            near_b, near_q = np.nonzero(objective <= low[idx] + _NEAR_MIN)
-            open_ = np.ones(idx.size, dtype=bool)
-            groups = np.flatnonzero(np.diff(near_b)) + 1
-            heads = near_b[np.r_[0, groups]] if near_b.size else near_b
-            for row, queries in zip(heads, np.split(near_q, groups)):
-                queries = queries[open_[queries]]
-                if queries.size == 0:
-                    continue
-                basic = self._inverses[lo + row] @ cols[:, queries]
-                hit = queries[basic.min(axis=0) >= -lp.FEASIBILITY_TOL]
-                best[idx[hit]] = objective[row, hit]
-                open_[hit] = False
-            unresolved[idx[~open_]] = False
+            # Bases are tested in cache order on the queries near their minimum;
+            # a query resolves at the first one that covers it and leaves the rest.
+            near = objective <= low[idx] + _NEAR_MIN
+            for row in range(near.shape[0]):
+                queries = np.flatnonzero(near[row])
+                if queries.size:
+                    basic = self._inverses[lo + row] @ cols[:, queries]
+                    hit = queries[basic.min(axis=0) >= -lp.FEASIBILITY_TOL]
+                    best[idx[hit]] = objective[row, hit]
+                    unresolved[idx[hit]] = False
+                    near[:, hit] = False
 
 
 @dataclass(frozen=True)
@@ -221,11 +209,21 @@ class McEstimate:
     std_error: float
 
 
-def _mc_mean(values: np.ndarray) -> McEstimate:
-    m = values.size
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    return McEstimate(mean, se)
+def _sample_mean(fn: Callable, stream: RandomStream, n: int, dim: int, block: int) -> McEstimate:
+    """Mean and standard error of ``fn`` over n uniform points in labeled blocks.
+
+    Each block is evaluated as it is drawn, so memory holds the n values and
+    one block of points.
+    """
+    if n < 1:
+        raise DomainError("need at least one sample")
+    values = np.empty(n)
+    done = 0
+    for pts in uniform_blocks(stream, n, dim, block):
+        values[done : done + pts.shape[0]] = fn(pts)
+        done += pts.shape[0]
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return McEstimate(float(values.mean()), se)
 
 
 def maximal_convex_integral(
@@ -234,19 +232,11 @@ def maximal_convex_integral(
     """Monte Carlo integral of the maximal convex function vanishing on (n, d) points.
 
     One minus the returned mean estimates the hull volume.  Points come from
-    the ``hull-integral`` substream in labeled blocks, so the estimate depends
-    only on ``stream`` and ``num_points``.  Each block is evaluated as it is
-    drawn, so memory holds the N values and one block of points.
+    the ``hull-integral`` substream in labeled 8,192-point blocks, so the
+    estimate depends only on ``stream`` and ``num_points``.
     """
-    if num_points < 1:
-        raise DomainError("need at least one sample point")
     evaluator = MaximalConvexEvaluator(points, dim)
-    values = np.empty(num_points)
-    done = 0
-    for pts in uniform_blocks(stream.substream("hull-integral"), num_points, dim):
-        values[done : done + pts.shape[0]] = evaluator.values(pts)
-        done += pts.shape[0]
-    return _mc_mean(values)
+    return _sample_mean(evaluator.values, stream.substream("hull-integral"), num_points, dim, 8192)
 
 
 def empirical_error_lower_bound(
@@ -306,21 +296,18 @@ def vertexize(points: np.ndarray, dim: int) -> np.ndarray:
     return np.array(sorted(seen), dtype=float).reshape(-1, dim)
 
 
-@dataclass(frozen=True)
-class CoverCheck:
-    """Outcome of sampling hull points against the vertex ball cover."""
-
-    ok: bool
-    counterexample: np.ndarray | None = None
-
-
-def elekes_cover_check(vertices: np.ndarray, trials: int, stream: RandomStream) -> CoverCheck:
+def elekes_cover_check(
+    vertices: np.ndarray, trials: int, stream: RandomStream
+) -> np.ndarray | None:
     """Sample convex combinations of (k, d) cube vertices and test the ball cover.
 
     Every point of the hull of a vertex set lies in the ball spanned between
     some vertex v and the cube center: center (v + 1/2) / 2, radius
-    sqrt(d) / 4, so v lies on its boundary.  A violation (none is expected)
-    is returned as a counterexample.
+    sqrt(d) / 4, so v lies on its boundary.  Returns the first sampled point
+    outside every ball (none is expected), or ``None``.  Points are drawn in
+    blocks whose (point, vertex, axis) temporary has at most
+    ``_BLOCK_ELEMENTS`` entries; one generator's Dirichlet draws do not
+    depend on the block sizes.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.size == 0:
@@ -333,18 +320,14 @@ def elekes_cover_check(vertices: np.ndarray, trials: int, stream: RandomStream) 
     centers = (verts + 0.5) / 2.0
     radius_sq = d / 16.0
     gen = stream.substream("cover-check").generator()
-    done = 0
-    while done < trials:
-        size = min(4096, trials - done)
-        weights = gen.dirichlet(np.ones(k), size=size)
-        pts = weights @ verts
+    step = max(1, _BLOCK_ELEMENTS // (k * d))
+    for done in range(0, trials, step):
+        pts = gen.dirichlet(np.ones(k), size=min(step, trials - done)) @ verts
         dist_sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        inside = (dist_sq <= radius_sq + 1e-12).any(axis=1)
-        if not inside.all():
-            bad = int(np.flatnonzero(~inside)[0])
-            return CoverCheck(False, pts[bad])
-        done += size
-    return CoverCheck(True)
+        outside = np.flatnonzero(~(dist_sq <= radius_sq + 1e-12).any(axis=1))
+        if outside.size:
+            return pts[outside[0]]
+    return None
 
 
 def cap_volume_mc(
@@ -355,20 +338,13 @@ def cap_volume_mc(
     At slice height t the cap is the cube's intersection with the ball of
     center (s, ..., s) and radius sqrt(d) s, where s = (1+t)/4.
     """
-    if num_samples < 1:
-        raise DomainError("need at least one sample")
     if not (0.0 <= t <= 1.0):
         raise DomainError("slice height must be in [0, 1]")
     if dim < 1:
         raise DomainError("dimension must be positive")
     s = (1.0 + t) / 4.0
-    hits = np.empty(num_samples)
-    done = 0
-    for pts in uniform_blocks(stream.substream("cap-volume"), num_samples, dim, block=65536):
-        inside = ((pts - s) ** 2).sum(axis=1) <= dim * s * s
-        hits[done : done + pts.shape[0]] = inside.astype(float)
-        done += pts.shape[0]
-    return _mc_mean(hits)
+    return _sample_mean(lambda pts: ((pts - s) ** 2).sum(axis=1) <= dim * s * s,
+                        stream.substream("cap-volume"), num_samples, dim, 65536)
 
 
 def chernoff_factor(s: float, alpha: float) -> float:

@@ -29,6 +29,9 @@ __all__ = [
     "run_algorithm",
 ]
 
+_BLOCK_ELEMENTS = 1 << 21  # elements of the largest temporary one kernel block builds
+
+
 class DomainError(ValueError):
     """A point, value, or parameter left its allowed domain."""
 
@@ -225,25 +228,19 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def block_sizes(total: int, block: int) -> list[int]:
-    """Split ``total`` into fixed-order blocks of at most ``block`` samples."""
+def uniform_blocks(
+    stream: RandomStream, total: int, dim: int, block: int = 8192
+) -> Iterable[np.ndarray]:
+    """Yield ``total`` uniform points in blocks of ``block``, the last holding the rest.
+
+    Block i draws from the substream ("block", i), so the blocks depend only on
+    ``total`` and ``block``, never on who consumes them, which keeps Monte
+    Carlo estimates identical across worker counts.
+    """
     if total < 0:
         raise DomainError("sample count must be nonnegative")
     if block < 1:
         raise DomainError("block size must be positive")
-    full, rest = divmod(total, block)
-    return [block] * full + ([rest] if rest else [])
-
-
-def uniform_blocks(
-    stream: RandomStream, total: int, dim: int, block: int = 8192
-) -> Iterable[np.ndarray]:
-    """Yield uniform sample blocks, one labeled substream per block.
-
-    The block layout depends only on ``total`` and ``block``, never on who
-    consumes the blocks, which keeps Monte Carlo estimates identical across
-    worker counts.
-    """
-    for i, size in enumerate(block_sizes(total, block)):
+    for i, lo in enumerate(range(0, total, block)):
         gen = stream.substream("block", i).generator()
-        yield gen.random((size, dim))
+        yield gen.random((min(block, total - lo), dim))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Interval, as_points
+from .core import _BLOCK_ELEMENTS, DomainError, Interval, as_points
 
 __all__ = [
     "ConvergenceError",
@@ -31,8 +31,6 @@ __all__ = [
 ]
 
 EXACT_CORNER_CAP = 20  # inclusion-exclusion (2^k subsets) up to this many boxes
-_BLOCK_ELEMENTS = 1 << 21  # largest temporary array of one block
-_FILTER_MIN_ROWS = 1024  # threshold_values sums smaller inputs directly
 
 
 class ConvergenceError(RuntimeError):
@@ -50,21 +48,21 @@ def threshold_values(points: np.ndarray) -> np.ndarray:
     more than the margin from d/2 lies on the same side as ``sum(axis=1)``.
     The rows within the margin are copied out and summed by ``sum(axis=1)``,
     which sums each row of a C-contiguous array the same way whatever the
-    other rows; a NaN or infinite margin leaves every row to it.  Inputs of
-    fewer than ``_FILTER_MIN_ROWS`` rows or not C-contiguous skip the filter.
+    other rows; a NaN or infinite margin leaves every row to it.  Inputs that
+    are not C-contiguous skip the filter.
     """
     pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
     half = d / 2.0
-    if pts.shape[0] >= _FILTER_MIN_ROWS and pts.flags.c_contiguous:
-        scale = d * max(abs(pts.max()), abs(pts.min()))  # bounds sum|x_i| of every row
-        fast = pts @ np.ones(d)
-        labels = (fast >= half).astype(int)
-        gamma = d * 2.0**-53 / (1.0 - d * 2.0**-53)
-        unsure = np.flatnonzero(~(np.abs(fast - half) > 2.0 * gamma * scale))
-        labels[unsure] = pts[unsure].sum(axis=1) >= half
-        return labels
-    return (pts.sum(axis=1) >= half).astype(int)
+    if not pts.flags.c_contiguous:
+        return (pts.sum(axis=1) >= half).astype(int)
+    scale = d * max(abs(pts.max(initial=0.0)), abs(pts.min(initial=0.0)))  # bounds sum|x_i|
+    fast = pts @ np.ones(d)
+    labels = (fast >= half).astype(int)
+    gamma = d * 2.0**-53 / (1.0 - d * 2.0**-53)
+    unsure = np.flatnonzero(~(np.abs(fast - half) > 2.0 * gamma * scale))
+    labels[unsure] = pts[unsure].sum(axis=1) >= half
+    return labels
 
 
 def _holders(points: np.ndarray, corners: np.ndarray) -> np.ndarray:

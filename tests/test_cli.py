@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -411,3 +412,40 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert [int(r["d"]) for r in read_csv(out)] == [1, 2, 3]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced ``language`` block after the README's ``heading``."""
+    text = README.read_text().split(heading, 1)[1]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The README's quadversary command lines, continuations joined, without verify."""
+    joined = _readme_block("## Command line", "sh").replace("\\\n", " ")
+    lines = [line for line in joined.splitlines() if line.startswith("quadversary ")]
+    return [argv[1:] for argv in map(shlex.split, lines) if argv[1] != "verify"]
+
+
+def test_readme_commands_run_and_write_their_reports(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for i, argv in enumerate(commands):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # relative --out paths land here too
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(run_dir))
+        assert cli.main(argv) == 0, argv
+        written = sorted(f.name for f in run_dir.iterdir())
+        manifests = [name for name in written if name.endswith(".manifest.json")]
+        assert len(manifests) == 1 and len(written) == 2, (argv, written)
+
+
+def test_readme_quickstart_runs(capsys):
+    exec(compile(_readme_block("## Library quickstart", "python"), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("certified error >=") and lines[1].startswith("closed form")
+    assert abs(float(lines[2]) - 1.0 / 3.0) <= 1e-12  # the evaluator's value at 1/2

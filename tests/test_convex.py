@@ -316,11 +316,24 @@ def test_vertexize_counts_and_pointwise_decrease():
 
 def test_cover_check_passes_on_vertex_sets():
     single = np.array([[1.0, 0.0, 1.0]])
-    assert convex.elekes_cover_check(single, 100, RandomStream(9)).ok
+    assert convex.elekes_cover_check(single, 100, RandomStream(9)) is None
     opposite = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert convex.elekes_cover_check(opposite, 10_000, RandomStream(10)).ok
+    assert convex.elekes_cover_check(opposite, 10_000, RandomStream(10)) is None
     all32 = np.array([[(i >> k) & 1 for k in range(5)] for i in range(32)], dtype=float)
-    assert convex.elekes_cover_check(all32, 10_000, RandomStream(11)).ok
+    assert convex.elekes_cover_check(all32, 10_000, RandomStream(11)) is None
+
+
+def test_cover_check_holds_no_full_point_vertex_axis_temporary():
+    # One (512, 4096, 12) float array would take 201 MB: all vertices at d=12
+    all_vertices = np.array(list(itertools.product((0.0, 1.0), repeat=12)))
+    tracemalloc.start()
+    try:
+        result = convex.elekes_cover_check(all_vertices, 512, RandomStream(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is None
+    assert peak < 32 * 2**20
 
 
 def test_cover_check_rejects_non_vertex_and_empty_sets():

@@ -370,7 +370,7 @@ def test_fixed_design_runs_make_one_oracle_call():
         alg = algorithms.make_algorithm(algorithm_id, 3, 20, RandomStream(0))
         transcript, _ = run_algorithm(alg, oracle, budget=20)
         assert calls == ([transcript.n] if transcript.n else []), algorithm_id
-        assert transcript.n == alg.count
+        assert transcript.n == len(alg.points)
 
 
 @dataclass

@@ -63,7 +63,7 @@ def test_threshold_labels_equal_row_sums_on_staircase_slabs():
 def test_threshold_labels_equal_row_sums_a_few_ulps_from_half():
     gen = np.random.default_rng(12)
     for d in (1, 2, 3, 10, 17, 64):
-        for rows in (5, 4 * monotone._FILTER_MIN_ROWS):
+        for rows in (5, 4096):  # every size takes the filtered path
             pts = gen.random((rows, d))
             pts *= (d / 2.0) / pts.sum(axis=1, keepdims=True)
             col = gen.integers(0, d, rows)
@@ -80,17 +80,17 @@ def test_threshold_labels_equal_row_sums_a_few_ulps_from_half():
     st.integers(1, 12).flatmap(
         lambda d: st.lists(st.lists(unit, min_size=d, max_size=d), min_size=1, max_size=8)
     ),
-    st.sampled_from([1, monotone._FILTER_MIN_ROWS]),
+    st.sampled_from([1, 1024]),
 )
 def test_threshold_labels_equal_row_sums(rows, copies):
-    # Copies of a few rows reach the filtered path above the row cutoff.
+    # Every size takes the filtered path; copies repeat each row's fallback.
     _assert_probe_labels(np.tile(np.array(rows), (copies, 1)))
 
 
 def test_threshold_labels_on_empty_and_non_finite_rows():
     for d in (1, 4):
         assert monotone.threshold_values(np.zeros((0, d))).shape == (0,)
-    rows = monotone._FILTER_MIN_ROWS
+    rows = 1024  # every size takes the filtered path
     big = np.tile([[1e308, 1e308, -1e308, -1e308, -1e308]], (rows, 1))
     odd = np.full((rows, 3), 0.5)
     odd[::3, 0], odd[1::3, 1] = np.nan, np.inf
