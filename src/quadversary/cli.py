@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -294,7 +295,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="quadversary",
         description="Adversarial error certificates and baseline quadrature on the unit cube",

@@ -21,7 +21,6 @@ import numpy as np
 from .core import _BLOCK_ELEMENTS, DomainError, Interval, as_points
 
 __all__ = [
-    "ConvergenceError",
     "MonotoneFoolingPair",
     "build_fooling_pair",
     "complexity_lower_bound",
@@ -31,10 +30,6 @@ __all__ = [
 ]
 
 EXACT_CORNER_CAP = 20  # inclusion-exclusion (2^k subsets) up to this many boxes
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical routine failed to converge; message carries diagnostics."""
 
 
 def threshold_values(points: np.ndarray) -> np.ndarray:

@@ -253,6 +253,22 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "bounds.manifest.json").exists()
 
 
+def test_second_main_call_builds_no_parser(tmp_path, monkeypatch):
+    import argparse
+
+    argv = ["bounds", "--class", "monotone", "--eps", "0.25", "--dmax", "2"]
+    assert cli.main([*argv, "--d", "2", "--out", str(tmp_path / "a.csv")]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert cli.main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert built == []
+    # the reused parser keeps no value of the first call: --d is back at its default
+    assert [r["d"] for r in read_csv(tmp_path / "a.csv")] == ["2"]
+    assert [r["d"] for r in read_csv(tmp_path / "b.csv")] == ["1", "2"]
+
+
 def test_config_errors_exit_2(tmp_path):
     assert cli.main([
         "bounds", "--class", "monotone", "--eps", "0.7", "--dmax", "3",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 from scipy.spatial import ConvexHull
 
 from quadversary import algorithms, convex, lp
@@ -387,6 +387,12 @@ def test_chernoff_factor_basics():
         convex.chernoff_factor(0.25, -1.0)
 
 
+def _quad_slope(s: float, a: float, epsabs: float, epsrel: float) -> tuple[float, float]:
+    """The factor's rate derivative, the integral of (2 s x - x^2) exp(a (2 s x - x^2))."""
+    return quad(lambda x: (2.0 * s * x - x * x) * math.exp(a * (2.0 * s * x - x * x)),
+                0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=200)
+
+
 def test_chernoff_factor_matches_closed_form():
     # the erf closed form against adaptive quadrature of the defining integral
     for s in (0.25, 0.3, 0.45):
@@ -398,6 +404,10 @@ def test_chernoff_factor_matches_closed_form():
             )
             assert abserr <= 1e-8
             assert convex.chernoff_factor(s, a) == pytest.approx(quad_route, abs=1e-8)
+            if a > 0.0:
+                slope_route, abserr = _quad_slope(s, a, epsabs=1e-10, epsrel=1e-12)
+                assert abserr <= 1e-8
+                assert convex._chernoff_slope(s, a) == pytest.approx(slope_route, abs=1e-8)
 
 
 def test_chernoff_factor_min_certification():
@@ -413,61 +423,86 @@ def test_chernoff_factor_min_certification():
         convex.chernoff_factor_min(0.75)
 
 
-def _searched_factor_min(s: float) -> tuple[float, float]:
-    """(alpha*, g_min) by bracket growth and golden section at every s, no closed form."""
-
-    def fn(alpha):
-        return convex.chernoff_factor(s, alpha)
-
-    before_alpha, prev_alpha, prev_value, alpha = 0.0, 0.0, 1.0, 1.0
-    while True:
-        value = fn(alpha)
-        if value > prev_value:
-            break
-        before_alpha = prev_alpha
-        prev_alpha, prev_value = alpha, value
-        alpha *= 2.0
-    alpha_star, g_min = convex._golden_section_min(fn, before_alpha, alpha, convex._RATE_TOL)
-    if prev_value < g_min and prev_alpha > 0.0:
-        alpha_star, g_min = prev_alpha, prev_value
-    if g_min > 1.0:
-        alpha_star, g_min = min(alpha_star, convex._RATE_TOL), 1.0
-    return alpha_star, g_min
+def _reference_rate(s: float) -> float:
+    """Root of the slope, integrated by adaptive quadrature and found by brentq."""
+    return brentq(lambda a: _quad_slope(s, a, epsabs=1e-14, epsrel=1e-13)[0],
+                  1e-6, 1.0 / (s * s), xtol=1e-15, rtol=4.0 * 2.0**-52)
 
 
-def _factor_calls(monkeypatch) -> list:
+def _factor_calls(monkeypatch, limit: float = math.inf) -> list:
+    """Record the rate of every factor call; raise past ``limit`` calls."""
     calls = []
     factor = convex.chernoff_factor
-    monkeypatch.setattr(convex, "chernoff_factor", lambda s, a: calls.append(a) or factor(s, a))
+
+    def counted(s, a):
+        calls.append(a)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} factor calls at s={s}")
+        return factor(s, a)
+
+    monkeypatch.setattr(convex, "chernoff_factor", counted)
     return calls
 
 
 ABOVE_THIRD = (math.nextafter(1.0 / 3.0, 1.0), 0.34, 0.4, 0.45, 0.5)
+# First computation recorded as a derived golden value.
+GOLDEN_T0 = 0.0950517578125
+NEAR_THIRD = (1.0 / 3.0, math.nextafter(1.0 / 3.0, 0.0))
 
 
 @pytest.mark.parametrize("s", ABOVE_THIRD)
 def test_factor_min_above_one_third_is_one_at_rate_zero(s, monkeypatch):
     # the slope at rate 0 is s - 1/3 > 0 and the factor is convex in the rate
-    searched = _searched_factor_min(s)[1]
-    if s >= 0.34:
-        assert searched == 1.0  # the search finds no value below 1 either
-    else:  # next to 1/3, libm rounding puts the searched value a few ulps below 1
-        assert 1.0 - 4 * 2.0**-53 <= searched < 1.0
+    if s >= 0.34:  # Jensen: the factor is at least exp(alpha (s - 1/3)) >= 1
+        for k in range(7):
+            a = 10.0**-k
+            value = quad(lambda x: math.exp(a * (2.0 * s * x - x * x)), 0.0, 1.0, epsrel=1e-14)[0]
+            assert value >= 1.0 - 1e-12
     calls = _factor_calls(monkeypatch)
     bound = convex.chernoff_factor_min(s)
     assert (bound.alpha_star, bound.g_min, bound.certified) == (0.0, 1.0, False)
     assert calls == []
 
 
-@pytest.mark.parametrize("s", [1.0 / 3.0, math.nextafter(1.0 / 3.0, 0.0), 0.3, 0.25, 0.1])
+@pytest.mark.parametrize(
+    "s", [*NEAR_THIRD, 0.3, 0.25, 0.1, 0.05, (1.0 + GOLDEN_T0) / 4.0, 0.33]
+)
 def test_factor_min_at_or_below_one_third_keeps_the_search(s, monkeypatch):
     # float(1/3) lies below 1/3, where the slope at rate 0 is negative
     assert 1.0 / 3.0 < Fraction(1, 3)
-    expected = _searched_factor_min(s)
     calls = _factor_calls(monkeypatch)
     bound = convex.chernoff_factor_min(s)
-    assert (bound.alpha_star, bound.g_min) == expected
     assert bound.alpha_star > 0.0 and len(calls) > 10
+    if s in NEAR_THIRD:  # the true minimum is within 1e-30 of 1
+        assert 1.0 - 4 * 2.0**-53 <= bound.g_min <= 1.0
+        return
+    alpha_ref = _reference_rate(s)
+    assert abs(bound.alpha_star - alpha_ref) <= 2 * convex._RATE_TOL * max(1.0, bound.alpha_star)
+    g_ref = convex.chernoff_factor(s, alpha_ref)
+    assert abs(bound.g_min - g_ref) <= 4 * math.ulp(g_ref)
+
+
+@pytest.mark.parametrize(
+    "s, g_min", [(1e-4, 0.00033952604044410644), (1e-6, 3.3952604044410643e-06)]
+)
+def test_factor_min_ends_at_small_scales(s, g_min, monkeypatch):
+    # the minimizer grows like 0.35 / s^2, past where floats are 1e-9 apart
+    calls = _factor_calls(monkeypatch, limit=200)
+    bound = convex.chernoff_factor_min(s)
+    assert bound.g_min == pytest.approx(g_min, rel=1e-12, abs=0.0)
+    assert 0 < len(calls) <= 200
+
+
+def test_factor_min_below_one_third_never_exceeds_one():
+    # rate 0 gives exactly 1, so a reported minimum above 1 would be no minimum
+    s = 1.0 / 3.0
+    for _ in range(2000):
+        assert convex.chernoff_factor_min(s).g_min <= 1.0
+        s = math.nextafter(s, 0.0)
+    rng = np.random.default_rng(0)
+    for gap in 10.0 ** rng.uniform(-16.0, -2.0, size=200):
+        s = 1.0 / 3.0 - float(gap)
+        assert convex.chernoff_factor_min(s).g_min <= 1.0
 
 
 def test_chernoff_factor_convex_in_rate():
@@ -476,10 +511,6 @@ def test_chernoff_factor_convex_in_rate():
     mids = [convex.chernoff_factor(0.25, float((a + b) / 2)) for a, b in zip(alphas, alphas[2:])]
     for left, mid, right in zip(values, mids, values[2:]):
         assert mid <= (left + right) / 2.0 + 1e-10
-
-
-# First computation recorded as a derived golden value.
-GOLDEN_T0 = 0.0950517578125
 
 
 def test_height_threshold_properties():
