@@ -190,21 +190,27 @@ def cmd_bounds(args) -> int:
         raise ConfigError("eps must lie in (0, 1/2)")
     if args.dmax < args.d or args.d < 1:
         raise ConfigError("need 1 <= d <= dmax")
+    if args.budget < 0:
+        raise ConfigError("budget must be nonnegative")
     budget = args.budget
-    rows = []
+    dims = range(args.d, args.dmax + 1)
     extra: dict = {}
     if args.problem_class == "monotone":
         formula = "monotone-complexity-lower"
-        bound_for = lambda d: monotone.complexity_lower_bound(args.eps, d)
+        bounds = [monotone.complexity_lower_bound(args.eps, d) for d in dims]
     else:
         threshold = convex.default_height_threshold()
         extra["t0"] = threshold.t0
         extra["eps0"] = threshold.eps0
         formula = "convex-complexity-lower"
-        bound_for = lambda d: convex.complexity_lower_bound(args.eps, d, threshold.eps0)
-    for d in range(args.d, args.dmax + 1):
-        bound = bound_for(d)
-        rows.append([d, args.eps, bound, formula, "certified-closed-form", bound > budget])
+        bounds = convex.complexity_lower_bounds(args.eps, args.d, args.dmax, threshold.eps0)
+    # Python refuses to print an int of more digits than this limit (0: none)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and max(bounds) >= 10**digits:
+        raise ConfigError(f"a bound has more than {digits} digits, the limit "
+                          "sys.set_int_max_str_digits sets on writing an int")
+    rows = [[d, args.eps, bound, formula, "certified-closed-form", bound > budget]
+            for d, bound in zip(dims, bounds)]
     out = _resolve_out(args.out, "bounds." + args.format)
     header = ["d", "eps", "bound", "formula_id", "provenance", "exceeds_budget"]
     _write_report(out, header, rows, args.format)

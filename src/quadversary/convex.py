@@ -47,6 +47,7 @@ __all__ = [
     "chernoff_factor",
     "chernoff_factor_min",
     "complexity_lower_bound",
+    "complexity_lower_bounds",
     "default_height_threshold",
     "elekes_cover_check",
     "empirical_error_lower_bound",
@@ -58,7 +59,7 @@ __all__ = [
 
 # Certification threshold for the per-coordinate Chernoff factor.
 CERTIFICATION_LIMIT = 10.0 / 11.0
-# Bisection tolerance on the Chernoff rate, relative above rate 1.
+# Step tolerance of the Chernoff rate search, relative above rate 1.
 _RATE_TOL = 1e-9
 # Height grid that find_height_threshold bisects, and its final tolerance.
 _HEIGHT_STEP = 1e-3
@@ -381,17 +382,22 @@ class ChernoffBound:
     certified: bool
 
 
-def _chernoff_slope(s: float, alpha: float) -> float:
-    """Rate derivative of ``chernoff_factor`` at a rate alpha > 0.
+def _chernoff_derivatives(s: float, alpha: float) -> tuple[float, float]:
+    """First and second rate derivatives of ``chernoff_factor`` at a rate alpha > 0.
 
-    It is the integral of (2 s x - x^2) exp(alpha (2 s x - x^2)); writing
-    2 s x - x^2 = s^2 - (x - s)^2 and integrating (x - s)^2 exp(...) by parts
-    gives ((2 s^2 alpha - 1) g + (1 - s) exp(alpha (2 s - 1)) + s) / (2 alpha)
-    with g the factor itself.
+    The slope S is the integral of (2 s x - x^2) exp(alpha (2 s x - x^2));
+    writing 2 s x - x^2 = s^2 - (x - s)^2 and integrating (x - s)^2 exp(...)
+    by parts gives 2 alpha S = (2 s^2 alpha - 1) g + (1 - s) e + s, with g
+    the factor itself and e = exp(alpha (2 s - 1)).  Differentiating that
+    identity gives the curvature:
+    2 alpha S' = 2 s^2 g + (2 s^2 alpha - 3) S + (1 - s)(2 s - 1) e.
     """
     g = chernoff_factor(s, alpha)
-    edge = (1.0 - s) * math.exp(alpha * (2.0 * s - 1.0))
-    return ((2.0 * s * s * alpha - 1.0) * g + edge + s) / (2.0 * alpha)
+    e = math.exp(alpha * (2.0 * s - 1.0))
+    slope = ((2.0 * s * s * alpha - 1.0) * g + (1.0 - s) * e + s) / (2.0 * alpha)
+    curvature = (2.0 * s * s * g + (2.0 * s * s * alpha - 3.0) * slope
+                 + (1.0 - s) * (2.0 * s - 1.0) * e) / (2.0 * alpha)
+    return slope, curvature
 
 
 def chernoff_factor_min(s: float) -> ChernoffBound:
@@ -399,11 +405,15 @@ def chernoff_factor_min(s: float) -> ChernoffBound:
 
     The factor is convex in the rate (its second derivative is the integral
     of (2 s x - x^2)^2 exp(...) >= 0), so its slope, given in closed form by
-    ``_chernoff_slope``, is nondecreasing and changes sign once, at the
-    minimum.  Doubling the rate from 1 brackets that sign change and
-    bisection narrows it; the factor is reported at the upper end.  The
-    tolerance is relative above rate 1: for s below about 3e-4 the minimizer
-    passes 4e6, where adjacent floats lie more than 1e-9 apart.
+    ``_chernoff_derivatives`` with its own derivative, is nondecreasing and
+    changes sign once, at the minimum.  Doubling the rate from 1 brackets
+    that sign change.  Newton steps on the slope then narrow the bracket,
+    with a bisection step wherever a Newton step would leave the bracket or
+    fails to halve the step before last ("rtsafe", Press et al., Numerical
+    Recipes, section 9.4), and the search stops once a step is within the
+    tolerance; the factor is reported at the last iterate.  The tolerance
+    is relative above rate 1: for s below about 3e-4 the minimizer passes
+    4e6, where adjacent floats lie more than 1e-9 apart.
     The slope at rate 0 is s - 1/3; so this returns the exact minimum for
     s > 1/3, the factor 1 at rate 0, without a search.  The float test
     ``s > 1.0 / 3.0`` decides the real s > 1/3 exactly, because the float
@@ -414,18 +424,30 @@ def chernoff_factor_min(s: float) -> ChernoffBound:
     if s > 1.0 / 3.0:
         return ChernoffBound(s=s, alpha_star=0.0, g_min=1.0, certified=False)
     lo, hi = 0.0, 1.0
-    while _chernoff_slope(s, hi) < 0.0:
+    slope, curvature = _chernoff_derivatives(s, hi)
+    while slope < 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 2.0**40:
             raise ConvergenceError(f"no bracket for the factor minimum at s={s}")
-    while hi - lo > _RATE_TOL * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if _chernoff_slope(s, mid) < 0.0:
-            lo = mid
+        slope, curvature = _chernoff_derivatives(s, hi)
+    alpha, step, before = hi, hi - lo, hi - lo
+    while True:
+        newton = slope / curvature if curvature > 0.0 else math.inf
+        if lo < alpha - newton < hi and abs(newton) <= 0.5 * abs(before):
+            before, step, alpha = step, newton, alpha - newton
         else:
-            hi = mid
-    g_min = chernoff_factor(s, hi)
-    return ChernoffBound(s=s, alpha_star=hi, g_min=g_min, certified=g_min < CERTIFICATION_LIMIT)
+            before, step, alpha = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
+        if abs(step) <= _RATE_TOL * max(1.0, alpha):
+            break
+        slope, curvature = _chernoff_derivatives(s, alpha)
+        if slope < 0.0:
+            lo = alpha
+        else:
+            hi = alpha
+    # Near s = 1/3 the dip below 1 is under an ulp and rounding can lift the
+    # factor past 1, which rate 0 attains exactly.
+    g_min = min(chernoff_factor(s, alpha), 1.0)
+    return ChernoffBound(s=s, alpha_star=alpha, g_min=g_min, certified=g_min < CERTIFICATION_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -502,7 +524,17 @@ def complexity_lower_bound(eps: float, dim: int, eps0: float) -> int:
 
     Evaluates ceil((11/10)^d (1 - eps/eps0) / (d+1)) in exact integer
     arithmetic, with eps = p / q and eps0 = p0 / q0 taken exactly from the
-    floats; accuracies at or above the threshold eps0 cost nothing.
+    floats; accuracies at or above the threshold eps0 cost nothing.  It is
+    the first row of ``complexity_lower_bounds``.
+    """
+    return complexity_lower_bounds(eps, dim, dim, eps0)[0]
+
+
+def complexity_lower_bounds(eps: float, dim: int, dmax: int, eps0: float) -> list[int]:
+    """``complexity_lower_bound`` at each dimension dim..dmax, in order.
+
+    The first row raises 11 and 10 to the power dim; each later row carries
+    the previous row's powers and multiplies them by 11 and 10.
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
@@ -511,7 +543,12 @@ def complexity_lower_bound(eps: float, dim: int, eps0: float) -> int:
     if not (0.0 < eps0 < 0.5):
         raise DomainError("eps0 must lie in (0, 1/2)")
     if eps >= eps0:
-        return 0
+        return [0] * len(range(dim, dmax + 1))
     p, q = eps.as_integer_ratio()
     p0, q0 = eps0.as_integer_ratio()
-    return -(-(11**dim * (q * p0 - p * q0)) // (10**dim * q * p0 * (dim + 1)))
+    top, bottom = 11**dim * (q * p0 - p * q0), 10**dim * q * p0
+    bounds = []
+    for d in range(dim, dmax + 1):
+        bounds.append(-(-top // (bottom * (d + 1))))
+        top, bottom = 11 * top, 10 * bottom
+    return bounds

@@ -156,6 +156,27 @@ def test_bounds_budget_flag(tmp_path):
     assert flagged and all(int(r["bound"]) > 100 for r in flagged)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_past_the_int_digit_limit_are_rejected_before_any_file(tmp_path, fmt):
+    # 2^14284, the bound at d = 14285, has 4300 digits, the default limit; at d = 14286, 4301
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for d, code in ((14286, 2), (14285, 0)):
+            out = tmp_path / str(d) / f"bounds.{fmt}"
+            assert cli.main([
+                "bounds", "--class", "monotone", "--eps", "0.25", "--d", str(d),
+                "--dmax", str(d), "--format", fmt, "--out", str(out),
+            ]) == code
+            assert out.exists() == (code == 0)
+            assert out.with_name("bounds.manifest.json").exists() == (code == 0)
+        rows = read_csv(out) if fmt == "csv" else json.loads(out.read_text())
+        bound = rows[0]["bound"]
+        assert len(str(bound)) == 4300 and int(bound) == 2**14284
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_bounds_convex_at_threshold_all_zero(tmp_path):
     from quadversary import convex
 
@@ -274,6 +295,11 @@ def test_config_errors_exit_2(tmp_path):
         "bounds", "--class", "monotone", "--eps", "0.7", "--dmax", "3",
         "--out", str(tmp_path / "x.csv"),
     ]) == 2
+    for problem_class in ("monotone", "convex"):
+        assert cli.main([
+            "bounds", "--class", problem_class, "--eps", "0.01", "--dmax", "3",
+            "--budget", "-1", "--out", str(tmp_path / "x.csv"),
+        ]) == 2
     assert cli.main([
         "adversary", "--class", "monotone", "--d", "2", "--algorithm", "nope",
         "--out", str(tmp_path / "y.csv"),

@@ -405,9 +405,16 @@ def test_chernoff_factor_matches_closed_form():
             assert abserr <= 1e-8
             assert convex.chernoff_factor(s, a) == pytest.approx(quad_route, abs=1e-8)
             if a > 0.0:
+                slope, curvature = convex._chernoff_derivatives(s, a)
                 slope_route, abserr = _quad_slope(s, a, epsabs=1e-10, epsrel=1e-12)
                 assert abserr <= 1e-8
-                assert convex._chernoff_slope(s, a) == pytest.approx(slope_route, abs=1e-8)
+                assert slope == pytest.approx(slope_route, abs=1e-8)
+                curvature_route, abserr = quad(
+                    lambda x: (2.0 * s * x - x * x) ** 2 * math.exp(a * (2.0 * s * x - x * x)),
+                    0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200,
+                )
+                assert abserr <= 1e-9 * curvature_route
+                assert curvature == pytest.approx(curvature_route, rel=1e-12)
 
 
 def test_chernoff_factor_min_certification():
@@ -472,7 +479,7 @@ def test_factor_min_at_or_below_one_third_keeps_the_search(s, monkeypatch):
     assert 1.0 / 3.0 < Fraction(1, 3)
     calls = _factor_calls(monkeypatch)
     bound = convex.chernoff_factor_min(s)
-    assert bound.alpha_star > 0.0 and len(calls) > 10
+    assert bound.alpha_star > 0.0 and len(calls) >= 2
     if s in NEAR_THIRD:  # the true minimum is within 1e-30 of 1
         assert 1.0 - 4 * 2.0**-53 <= bound.g_min <= 1.0
         return
@@ -491,6 +498,31 @@ def test_factor_min_ends_at_small_scales(s, g_min, monkeypatch):
     bound = convex.chernoff_factor_min(s)
     assert bound.g_min == pytest.approx(g_min, rel=1e-12, abs=0.0)
     assert 0 < len(calls) <= 200
+
+
+def test_factor_min_searches_in_few_factor_calls(monkeypatch):
+    # the gscan-step5e-4 grid: heights 0, 5e-4, ..., 1 stepped as cmd_gscan steps them
+    calls = _factor_calls(monkeypatch)
+    searched, t = 0, 0.0
+    while t <= 1.0 + 1e-12:
+        s = (1.0 + t) / 4.0
+        before = len(calls)
+        convex.chernoff_factor_min(s)
+        if s <= 1.0 / 3.0:
+            searched += 1
+            assert 2 <= len(calls) - before <= 20, f"{len(calls) - before} calls at t={t}"
+        t = round(t + 5e-4, 12)
+    assert searched == 667
+
+
+def test_factor_min_near_one_third_keeps_its_rates_in_the_bracket(monkeypatch):
+    # 1e-10 to 1e-8 below 1/3 the minimizer lies between 1e-8 and 1e-6, where
+    # the slope's rounding noise can send a Newton step below rate 0
+    calls = _factor_calls(monkeypatch)
+    for gap in 10.0 ** np.linspace(-10.0, -8.0, 500):
+        bound = convex.chernoff_factor_min(1.0 / 3.0 - float(gap))
+        assert 0.0 < bound.alpha_star < 1.0 and bound.g_min <= 1.0
+    assert all(0.0 < a <= 1.0 for a in calls)
 
 
 def test_factor_min_below_one_third_never_exceeds_one():
@@ -598,6 +630,24 @@ def test_complexity_lower_bound_equals_the_rational_formula():
     # the whole bench table: bounds --class convex --eps 0.01 --dmax 2000
     for d in range(1, 2001):
         assert convex.complexity_lower_bound(0.01, d, eps0) == _fraction_bound(0.01, d, eps0)
+
+
+def test_bound_table_equals_the_rational_formula_row_for_row():
+    eps0 = convex.default_height_threshold().eps0
+    # the whole bench table: bounds --class convex --eps 0.01 --dmax 2000
+    table = convex.complexity_lower_bounds(0.01, 1, 2000, eps0)
+    assert table == [_fraction_bound(0.01, d, eps0) for d in range(1, 2001)]
+    gen = np.random.default_rng(20)
+    for _ in range(200):
+        e, e0 = sorted(float(x) for x in gen.random(2) * 0.5)
+        dim = int(gen.integers(1, 200))
+        dmax = dim + int(gen.integers(0, 60))
+        want = [_fraction_bound(e, d, e0) for d in range(dim, dmax + 1)]
+        assert convex.complexity_lower_bounds(e, dim, dmax, e0) == want
+        assert convex.complexity_lower_bound(e, dim, e0) == want[0]
+    assert convex.complexity_lower_bounds(eps0, 3, 9, eps0) == [0] * 7
+    with pytest.raises(DomainError, match="dimension must be positive"):
+        convex.complexity_lower_bounds(0.01, 0, 5, eps0)
 
 
 def test_hull_volume_against_exact_small_d_polytope_volume():

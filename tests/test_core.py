@@ -211,6 +211,22 @@ def test_grid_scan_d5_queries_the_whole_5_lattice():
     assert transcript.points.tolist() == [list(p) for p in itertools.product(centers, repeat=5)]
 
 
+def test_product_integrand_is_bitwise_the_numpy_row_product():
+    gen = np.random.default_rng(20)
+    nodes = np.linspace(0.0, 1.0, 11)  # the staircase rule's lattice at m = 10
+    special = np.array([0.0, 1.0, 5e-324, 2.0**-1022, 0.5, 0.75])
+    for d in range(1, 21):
+        product = algorithms.make_oracle("product", d).fn
+        for pts in (
+            gen.random((1000, d)),
+            nodes[gen.integers(0, 11, size=(1000, d))],
+            special[gen.integers(0, special.size, size=(1000, d))],
+            np.asfortranarray(gen.random((64, d))),
+            np.empty((0, d)),
+        ):
+            assert product(pts).tobytes() == np.prod(pts, axis=1).tobytes()
+
+
 def test_registered_algorithms_keep_their_order_and_query_counts():
     ids = ("constant-half", "uniform-random", "grid-scan", "vertex-scan")
     assert algorithms.ALGORITHM_IDS == ids  # the --algorithm help text lists them in this order
