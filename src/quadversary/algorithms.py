@@ -3,8 +3,8 @@
 Every oracle comes with its true integral (step at half-sum: 1/2 by the
 x -> 1-x symmetry; coordinate product: 2^-d; coordinate mean: 1/2; mean
 of squares: 1/3).  Algorithms implement the adaptive-cubature interface and
-derive any randomness from labeled substreams of one seed, so a rerun with
-the same seed replays the identical transcript.
+draw any randomness from one generator per labeled substream of one seed, so
+a rerun with the same seed replays the identical transcript.
 """
 
 from __future__ import annotations
@@ -108,10 +108,9 @@ class FixedDesign:
 
 
 def _uniform_random(dim: int, budget: int, stream: RandomStream) -> FixedDesign:
-    """Budget-many seeded uniform points; point j draws from its own substream."""
-    queries = stream.substream("uniform-random", "query")
-    rows = [queries.substream(j).generator().random(dim) for j in range(budget)]
-    return FixedDesign(np.array(rows).reshape(-1, dim))
+    """Point j is row j of one generator's draw, so a design prefixes any larger budget's."""
+    gen = stream.substream("uniform-random", "query").generator()
+    return FixedDesign(gen.random((budget, dim)))
 
 
 def _grid_scan(dim: int, budget: int, stream: RandomStream) -> FixedDesign:

@@ -14,7 +14,7 @@ Subcommands
 
 Every report command takes ``--out``; ``adversary`` and ``quad`` also take
 ``--seed``, and all but ``t0`` (always JSON) take ``--format``.  Reports are
-CSV ('.' decimal, LF endings, header row, deterministic row order) or JSON;
+CSV ('.' decimal, LF endings, header row, unquoted cells, deterministic row order) or JSON;
 every run also writes a manifest with the configuration values it read (any
 seed included) and library versions, enough to reproduce the output bytes.
 Exit codes: 0 success, 2 configuration error (an unknown algorithm or oracle
@@ -25,7 +25,6 @@ disagrees with the probe included); neither error writes a file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -57,6 +56,8 @@ def _format_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        raise ValueError(f"CSV cells are written unquoted; {value!r} would need quotes")
     return str(value)
 
 
@@ -69,11 +70,9 @@ def _resolve_out(out: str | None, default_name: str) -> Path:
 def _write_report(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        text = "".join(",".join(map(_format_cell, row)) + "\n" for row in (header, *rows))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
+            fh.write(text)
     else:
         obj = [dict(zip(header, row)) for row in rows]
         _write_json(path, obj)

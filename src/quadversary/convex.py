@@ -215,7 +215,7 @@ class McEstimate:
 
 
 def _sample_mean(fn: Callable, stream: RandomStream, n: int, dim: int, block: int) -> McEstimate:
-    """Mean and standard error of ``fn`` over n uniform points in labeled blocks.
+    """Mean and standard error of ``fn`` over n uniform points, drawn in blocks.
 
     Each block is evaluated as it is drawn, so memory holds the n values and
     one block of points.
@@ -237,8 +237,8 @@ def maximal_convex_integral(
     """Monte Carlo integral of the maximal convex function vanishing on (n, d) points.
 
     One minus the returned mean estimates the hull volume.  Points come from
-    the ``hull-integral`` substream in labeled 8,192-point blocks, so the
-    estimate depends only on ``stream`` and ``num_points``.
+    the ``hull-integral`` substream in 8,192-point blocks, so the estimate
+    depends only on ``stream`` and ``num_points``.
     """
     evaluator = MaximalConvexEvaluator(points, dim)
     return _sample_mean(evaluator.values, stream.substream("hull-integral"), num_points, dim, 8192)

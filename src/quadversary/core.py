@@ -206,9 +206,10 @@ class RandomStream:
     """Seeded, hierarchical source of random generators.
 
     Identical seeds yield identical draws, and substreams derived from
-    distinct labels are independent by construction (seed-sequence spawning),
-    so parallel consumers can each take a labeled substream and the combined
-    result stays reproducible for any worker count.
+    distinct labels are independent by construction (seed-sequence spawning).
+    Labels name consumers, not draws: each consumer builds one generator from
+    its labeled substream and takes its points from it in order, so its
+    result depends only on the seed and the labels.
     """
 
     seed: int
@@ -233,14 +234,14 @@ def uniform_blocks(
 ) -> Iterable[np.ndarray]:
     """Yield ``total`` uniform points in blocks of ``block``, the last holding the rest.
 
-    Block i draws from the substream ("block", i), so the blocks depend only on
-    ``total`` and ``block``, never on who consumes them, which keeps Monte
-    Carlo estimates identical across worker counts.
+    The blocks are consecutive rows of the one generator ``stream`` builds, so
+    the points they make up depend on ``stream`` and ``total`` only, never on
+    ``block``.
     """
     if total < 0:
         raise DomainError("sample count must be nonnegative")
     if block < 1:
         raise DomainError("block size must be positive")
-    for i, lo in enumerate(range(0, total, block)):
-        gen = stream.substream("block", i).generator()
+    gen = stream.generator()
+    for lo in range(0, total, block):
         yield gen.random((min(block, total - lo), dim))

@@ -141,8 +141,8 @@ def staircase_rate(oracle: EvalOracle) -> tuple[list[BracketEstimate], float]:
 def monte_carlo(oracle: EvalOracle, n: int, stream: RandomStream) -> tuple[float, float]:
     """Uniform-sample mean with the constant-free n^(-1/2) error guarantee.
 
-    Samples are drawn in fixed-order labeled blocks and block sums are
-    reduced in block order, so the estimate depends only on the seed and n.
+    Samples are drawn in fixed-order blocks of one generator and block sums
+    are reduced in block order, so the estimate depends only on the seed and n.
     """
     if n < 1:
         raise DomainError("need at least one sample")

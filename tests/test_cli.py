@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import shlex
@@ -251,6 +252,45 @@ def test_quad_mc_reruns_bit_identical(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_seeded_runs_build_one_generator_per_stream(tmp_path, monkeypatch):
+    built = []
+    generator = RandomStream.generator
+    monkeypatch.setattr(RandomStream, "generator",
+                        lambda self: built.append(self.path) or generator(self))
+    counts = []
+    for budget in (10, 1000):
+        built.clear()
+        assert cli.main([
+            "adversary", "--class", "monotone", "--d", "10", "--budget", str(budget),
+            "--algorithm", "uniform-random", "--out", str(tmp_path / f"adv{budget}.csv"),
+        ]) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+    built.clear()
+    assert cli.main([
+        "quad", "--method", "mc", "--oracle", "threshold", "--d", "3", "--n", "400000",
+        "--out", str(tmp_path / "mc.csv"),
+    ]) == 0
+    assert len(built) == 1
+
+
+def test_csv_reports_match_the_csv_module_and_refuse_cells_that_need_quotes(tmp_path):
+    header = ["d", "method", "n", "estimate", "flag"]
+    rows = [[3, "mc", 10**400, 0.1, True], [1, "rate-slope", -7, float("inf"), ""],
+            [2, "staircase", 0, 5e-324, False]]
+    path = tmp_path / "r.csv"
+    cli._write_report(path, header, rows, "csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    for row in (header, *rows):
+        writer.writerow([cli._format_cell(v) for v in row])
+    assert path.read_bytes() == expected.getvalue().encode()
+    for cell in ("a,b", 'say "x"', "a\rb", "a\nb"):
+        with pytest.raises(ValueError, match="unquoted"):
+            cli._write_report(tmp_path / "bad.csv", header, [[1, cell, 2, 0.5, True]], "csv")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_quad_rate_slope(tmp_path):

@@ -13,6 +13,7 @@ from quadversary.core import (
     RandomStream,
     as_points,
     run_algorithm,
+    uniform_blocks,
 )
 
 
@@ -241,14 +242,34 @@ def test_registered_algorithms_keep_their_order_and_query_counts():
 
 
 def test_uniform_random_queries_follow_their_seed_path():
-    # query j comes from substream ("uniform-random") then ("query", j); moving
-    # that path would change every seeded report
+    # query j is row j of the one generator of substream ("uniform-random")
+    # then ("query"); moving that path would change every seeded report
     stream = RandomStream(2024).substream("algorithm")
     alg = algorithms.make_algorithm("uniform-random", 6, 5, stream)
     transcript, _ = run_algorithm(alg, algorithms.make_oracle("affine", 6), budget=5)
+    rows = stream.substream("uniform-random").substream("query").generator().random((5, 6))
     for j in range(5):
-        expected = stream.substream("uniform-random").substream("query", j).generator().random(6)
-        assert np.array_equal(transcript.points[j], expected)
+        assert np.array_equal(transcript.points[j], rows[j])
+
+
+def test_uniform_random_designs_are_prefixes_of_larger_budgets():
+    stream = RandomStream(7).substream("algorithm")
+    largest = algorithms.make_algorithm("uniform-random", 4, 1000, stream).points
+    for budget in (0, 1, 2, 99, 999):
+        design = algorithms.make_algorithm("uniform-random", 4, budget, stream).points
+        assert design.shape == (budget, 4)
+        assert design.tobytes() == largest[:budget].tobytes()
+
+
+def test_uniform_blocks_do_not_depend_on_the_block_size():
+    stream = RandomStream(9).substream("blocks")
+    total, dim = 10_000, 3
+    whole = stream.generator().random((total, dim))
+    for block in (1, 1000, 8192):
+        blocks = list(uniform_blocks(stream, total, dim, block))
+        assert [b.shape[0] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert 1 <= blocks[-1].shape[0] <= block
+        assert np.concatenate(blocks).tobytes() == whole.tobytes(), block
 
 
 def test_make_algorithm_rejects_unknown_ids_and_nonpositive_dimensions():
@@ -327,8 +348,9 @@ def _reference_design(algorithm_id, dim, budget, stream):
     if algorithm_id == "constant-half":
         return 0, None
     if algorithm_id == "uniform-random":
-        queries = stream.substream("uniform-random", "query")
-        return budget, lambda j: queries.substream(j).generator().random(dim)
+        # point j is the j-th draw of d doubles; callers ask j = 0, 1, ... in order
+        gen = stream.substream("uniform-random", "query").generator()
+        return budget, lambda j: gen.random(dim)
     if algorithm_id == "grid-scan":
         m = _lattice_side(dim, budget)
         return budget, lambda j: np.array([(i + 0.5) / m for i in _digits(j, m, dim)])
