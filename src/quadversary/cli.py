@@ -9,7 +9,7 @@ Subcommands
     t0         compute the certified height threshold and accuracy cutoff
     quad       run baseline quadrature on built-in integrands
     verify     run the acceptance criteria (quadversary.acceptance), the same
-               checks as the pytest acceptance suite; takes about 20 s on
+               checks as the pytest acceptance suite; takes about 10 s on
                2 vCPUs
 
 Every report command takes ``--out``; ``adversary`` and ``quad`` also take
@@ -123,7 +123,14 @@ def cmd_adversary(args) -> int:
     config = {"class": args.problem_class, "d": dim, "budget": args.budget,
               "seed": args.seed, "algorithm": args.algorithm}
     stream = RandomStream(args.seed)
-    alg = algorithms.make_algorithm(args.algorithm, dim, args.budget, stream.substream("algorithm"))
+    try:
+        alg = algorithms.make_algorithm(args.algorithm, dim, args.budget,
+                                        stream.substream("algorithm"))
+    except DomainError:
+        raise
+    except (MemoryError, ValueError) as exc:  # numpy refuses a design this large
+        raise ConfigError(f"budget {args.budget} is too large for a {args.algorithm} "
+                          f"design at d={dim}: {exc}") from None
 
     if args.problem_class == "monotone":
         oracle = algorithms.make_oracle("threshold", dim)

@@ -4,17 +4,18 @@ Against the zero integrand an algorithm commits to some sample points P,
 passed as a plain (n, d) array and checked once by ``core.as_points``.  The
 largest convex [0,1]-valued function vanishing on P has, as the region above
 its graph, the convex hull of P at height 0 together with the full top face
-at height 1; its value at x is found by a small linear program, and its
-integral (one minus that hull's volume) yields a statistical error lower
-bound for the algorithm.
+at height 1; its value at x is found by a small linear program with 2d
+rows, and its integral (one minus that hull's volume) yields a statistical
+error lower bound for the algorithm.
 
 The LP optimum is the lower envelope of the affine functions y.rhs(x) over
 the dual vertices y, so :class:`MaximalConvexEvaluator` caches optimal
-bases.  It resolves each block of queries by an envelope sweep, one product
-of the cached duals against the block, testing primal feasibility only
-where a basis is within 1e-9 of a query's minimum.  The queries no cached
-basis covers are solved in rounds by one batched ``lp.solve`` each, from the
-slack basis, and the new optimal bases join the cache.
+bases.  It resolves each 8,192-query block, one hull-integral sample block,
+by an envelope sweep, one product of the cached duals against the block,
+testing primal feasibility only where a basis is within 1e-9 of a query's
+minimum.  The queries no cached basis covers are solved in rounds by one
+batched ``lp.solve`` each, from the slack basis, and the new optimal bases
+join the cache with their Newton-refined inverses.
 
 The closed-form side bounds the hull volume from above: every point of P is a
 convex combination of at most d+1 cube vertices, each vertex's share of a low
@@ -71,25 +72,27 @@ class ConvergenceError(RuntimeError):
 
 
 def _lift(points: np.ndarray) -> np.ndarray:
-    """The columns [1; x; 1-x] of (n, d) points, as a (2d + 1, n) array.
+    """The columns [x; 1-x] of (n, d) points, as a (2d, n) array.
 
     Lifted sample points are the constraint columns of the hull-membership
     program and lifted queries its right-hand sides.  A combination weight
     vector puts mass on the sample points and the rest on the top face; the
     query point x is reachable at height 1 - sum(w) iff sum(w) <= 1,
     X^T w <= x,  (1-X)^T w <= 1-x,  w >= 0.  Maximizing sum(w) therefore
-    finds the lowest point of the hull above x.
+    finds the lowest point of the hull above x.  The row sum(w) <= 1 is
+    left out: for any coordinate k, the rows X_k^T w <= x_k and
+    (1-X_k)^T w <= 1-x_k add up to it, so the 2d rows keep the optimum.
     """
     n, d = points.shape
-    lifted = np.empty((2 * d + 1, n))
-    lifted[0] = 1.0
-    lifted[1 : d + 1] = points.T
-    lifted[d + 1 :] = 1.0 - points.T
+    lifted = np.empty((2 * d, n))
+    lifted[:d] = points.T
+    lifted[d:] = 1.0 - points.T
     return lifted
 
 
-# Queries per block of MaximalConvexEvaluator.values.
-_QUERY_BLOCK = 4096
+# Queries per block of MaximalConvexEvaluator.values: the hull integral's
+# sample block, so each drawn block is swept once.
+_QUERY_BLOCK = 8192
 # Cached bases per product of one sweep step: few, so that queries the first
 # steps resolve drop out of the later ones.
 _SWEEP_BASES = 16
@@ -103,17 +106,20 @@ class MaximalConvexEvaluator:
 
     P is an (n, d) array of points in the unit cube; n may be 0.
 
-    The underlying LP optimum is piecewise linear in the query point, so the
-    evaluator caches optimal bases with their duals y and inverses: a cached
-    basis whose basic solution stays feasible for a query certifies that
-    query's optimum y.rhs(x) without another solve (reduced costs do not
-    depend on the right-hand side).
+    The underlying LP has the 2d rows of ``_lift`` and is piecewise linear
+    in the query point, so the evaluator caches optimal bases with their
+    duals y and inverses, as ``lp.solve`` returns them after one Newton step
+    against the original columns: a cached basis whose basic solution stays
+    feasible for a query certifies that query's optimum y.rhs(x) without
+    another solve (reduced costs do not depend on the right-hand side).
 
-    Queries are taken in fixed-size blocks and resolved in rounds.  An
-    envelope sweep evaluates y.rhs(x) for all new duals in one product, keeps
-    each query's running minimum over the cache (an upper bound on the
-    optimum, tight exactly when the basis attaining it is feasible) and
-    tests feasibility only on bases within ``_NEAR_MIN`` of it.  The first
+    Queries are taken in blocks of ``_QUERY_BLOCK`` (8,192, the hull
+    integral's sample block, so each drawn block is swept once) and
+    resolved in rounds.  An envelope sweep evaluates y.rhs(x) for all new
+    duals in one product, keeps each query's running minimum over the cache
+    (an upper bound on the optimum, tight exactly when the basis attaining
+    it is feasible) and tests feasibility only on bases within
+    ``_NEAR_MIN`` of it.  The first
     queries left unresolved are then solved together by one batched
     ``lp.solve`` from the slack basis; the new optimal bases join the cache
     and the next sweep.  A round holds twice as many queries as the previous
@@ -192,17 +198,19 @@ class MaximalConvexEvaluator:
                 return
             cols = rhs[:, idx]
             objective = self._duals[lo : min(end, lo + _SWEEP_BASES)] @ cols
-            low[idx] = np.minimum(low[idx], objective.min(axis=0))
+            lowest = np.minimum(low[idx], objective.min(axis=0))
+            low[idx] = lowest
             # Bases are tested in cache order on the queries near their minimum;
             # a query resolves at the first one that covers it and leaves the rest.
-            near = objective <= low[idx] + _NEAR_MIN
-            for row in range(near.shape[0]):
-                queries = np.flatnonzero(near[row])
+            near = objective <= lowest + _NEAR_MIN
+            for row in np.flatnonzero(near.any(axis=1)):
+                queries = near[row].nonzero()[0]
                 if queries.size:
                     basic = self._inverses[lo + row] @ cols[:, queries]
                     hit = queries[basic.min(axis=0) >= -lp.FEASIBILITY_TOL]
-                    best[idx[hit]] = objective[row, hit]
-                    unresolved[idx[hit]] = False
+                    resolved = idx[hit]
+                    best[resolved] = objective[row, hit]
+                    unresolved[resolved] = False
                     near[:, hit] = False
 
 
@@ -241,7 +249,8 @@ def maximal_convex_integral(
     depends only on ``stream`` and ``num_points``.
     """
     evaluator = MaximalConvexEvaluator(points, dim)
-    return _sample_mean(evaluator.values, stream.substream("hull-integral"), num_points, dim, 8192)
+    return _sample_mean(evaluator.values, stream.substream("hull-integral"), num_points, dim,
+                        _QUERY_BLOCK)
 
 
 def empirical_error_lower_bound(

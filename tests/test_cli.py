@@ -365,6 +365,23 @@ def test_config_errors_exit_2(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("problem_class", ["monotone", "convex"])
+@pytest.mark.parametrize("algorithm,dim", [
+    ("uniform-random", 10), ("uniform-random", 70), ("grid-scan", 10), ("grid-scan", 70),
+    ("vertex-scan", 70),
+])
+def test_designs_numpy_refuses_to_allocate_exit_2(tmp_path, capsys, problem_class, algorithm, dim):
+    # 10^18 points: numpy refuses the (budget, d) draw ("array is too big")
+    # and the 8 EB index range before it allocates anything.
+    assert cli.main([
+        "adversary", "--class", problem_class, "--d", str(dim), "--budget", str(10**18),
+        "--algorithm", algorithm, "--out", str(tmp_path / "a.csv"),
+    ]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: budget 1000000000000000000 is too large")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--class", "monotone", "--eps", "0.25", "--dmax", "2", "--seed", "3"],
     ["gscan", "--seed", "3"],

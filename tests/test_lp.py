@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from quadversary import algorithms, lp
+from quadversary import algorithms, convex, lp
 from quadversary.core import RandomStream, run_algorithm
 
 
@@ -129,8 +129,21 @@ def test_beale_cycling_example_ends_at_optimum():
     assert sol.primal == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
 
 
+def _assert_refined_inverse(a, basis, basis_inverse) -> None:
+    """The returned inverse is LAPACK's inverse of the basis columns, to 1e-12.
+
+    Relative to the largest entry of LAPACK's inverse; the residual
+    max|B X - I| also stays within 1e-12, as LAPACK's does on these programs.
+    """
+    m = np.shape(a)[0]
+    columns = np.hstack([a, np.eye(m)])[:, basis]
+    reference = np.linalg.inv(columns)
+    assert np.abs(basis_inverse - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.abs(columns @ basis_inverse - np.eye(m)).max() <= 1e-12
+
+
 def _membership(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constraints and objective of the convex adversary's hull LP."""
+    """Constraints and objective of the convex adversary's hull LP, row of ones included."""
     return np.vstack([np.ones(len(points)), points.T, 1.0 - points.T]), np.ones(len(points))
 
 
@@ -138,17 +151,21 @@ def _query_rhs(xs: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(xs), 1)), xs, 1.0 - xs])
 
 
-@pytest.mark.parametrize(
+_DEGENERATE_DESIGNS = pytest.mark.parametrize(
     "algorithm_id,dim,budget",
     [("grid-scan", 2, 1000), ("vertex-scan", 8, 8), ("uniform-random", 6, 30)],
 )
-def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
-    # Collinear grid points and the vertices of a cube face are degenerate;
-    # queries at sample points and at cube corners add degenerate programs.
+
+
+def _degenerate_programs(algorithm_id, dim, budget):
+    """Sample points, queries, the full hull LP (A, c, rhs) and HiGHS's optima.
+
+    Collinear grid points and the vertices of a cube face are degenerate;
+    queries at sample points and at cube corners add degenerate programs.
+    """
     alg = algorithms.make_algorithm(algorithm_id, dim, budget, RandomStream(0))
     points = run_algorithm(alg, algorithms.zero_oracle(dim), budget)[0].points
     a, c = _membership(points)
-    m = a.shape[0]
     gen = RandomStream(41).substream(algorithm_id).generator()
     xs = np.vstack([gen.random((24, dim)), points[:4], gen.integers(0, 2, (4, dim))])
     rhs = _query_rhs(xs)
@@ -157,6 +174,13 @@ def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
         ref = linprog(-c, A_ub=a, b_ub=b, method="highs")
         assert ref.status == 0
         refs.append(-ref.fun)
+    return points, xs, a, c, rhs, refs
+
+
+@_DEGENERATE_DESIGNS
+def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
+    points, xs, a, c, rhs, refs = _degenerate_programs(algorithm_id, dim, budget)
+    m = a.shape[0]
     sol = lp.solve(c, a, rhs)
     assert sol.value.shape == (len(xs),) and sol.basis.shape == (len(xs), m)
     for j, b in enumerate(rhs):
@@ -166,9 +190,38 @@ def test_batch_matches_highs_on_degenerate_programs(algorithm_id, dim, budget):
         assert (a.T @ y >= c - 1e-9).all() and y.min() >= -1e-9
         columns = np.hstack([a, np.eye(m)])[:, sol.basis[j]]
         assert np.abs(sol.basis_inverse[j] @ columns - np.eye(m)).max() <= 1e-9
+        _assert_refined_inverse(a, sol.basis[j], sol.basis_inverse[j])
         primal = _primal(a, b, sol.basis[j], sol.basis_inverse[j])
         assert (a @ primal <= b + 1e-9).all()
         assert primal.min() >= -1e-12
+
+
+@_DEGENERATE_DESIGNS
+def test_hull_program_without_the_row_of_ones_keeps_its_optimum(algorithm_id, dim, budget):
+    # sum(w) <= 1 is the sum of the rows for x_k and 1 - x_k, for any k, so
+    # the 2d rows of convex._lift give the optima of the full 2d + 1 rows.
+    points, xs, a, c, rhs, refs = _degenerate_programs(algorithm_id, dim, budget)
+    lifted = convex._lift(points)
+    assert lifted.shape == (2 * dim, len(points))
+    sol = lp.solve(c, lifted, convex._lift(xs).T)
+    assert sol.basis.shape == (len(xs), 2 * dim)
+    assert np.abs(sol.value - refs).max() <= 1e-9
+
+
+def test_inverse_is_refined_after_a_tiny_pivot():
+    # The second pivot is on 1.4e-8, so the pivot-updated inverse passes
+    # through entries of 1e8; the third pivot brings them back to at most 4.4,
+    # but its rounding stays: max|B X - I| is 1.8e-9 without the Newton step.
+    a = [[1e-8, 0.72, -0.3], [1e-8, 1.0, 1.33], [1.0, 1.0, 1.0]]
+    c, b = [0.61, 0.99, 0.16], [6e-9, 0.015, 1.0]
+    sol = _solve_one(c, a, b)
+    assert sol.iterations == 3 and sol.basis == (0, 4, 2)
+    # Optimal: primal and dual feasible with equal objectives (HiGHS's own
+    # tolerances are too coarse for the 6e-9 right-hand side).
+    assert (np.array(a) @ sol.primal <= np.array(b) + 1e-12).all() and sol.primal.min() >= 0.0
+    assert (np.array(a).T @ sol.duals >= np.array(c) - 1e-12).all() and sol.duals.min() >= 0.0
+    assert sol.value == pytest.approx(float(sol.duals @ b), abs=1e-12)
+    _assert_refined_inverse(a, list(sol.basis), sol.basis_inverse)
 
 
 def test_batch_pivots_each_program_as_a_lone_solve_would(monkeypatch):
@@ -188,6 +241,7 @@ def test_batch_pivots_each_program_as_a_lone_solve_would(monkeypatch):
         assert sol.value[j] == pytest.approx(-ref.fun, abs=1e-9)
         assert sol.value[j] == pytest.approx(lone[j].value, abs=1e-12)
         assert tuple(sol.basis[j]) == lone[j].basis
+        _assert_refined_inverse(a, sol.basis[j], sol.basis_inverse[j])
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 5)
     with pytest.raises(lp.LPError, match="pivots"):
         lp.solve(c, a, rhs[[3, 0]])
