@@ -29,12 +29,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import lp
-from .core import _BLOCK_ELEMENTS, DomainError, RandomStream, as_points, uniform_blocks
+from .core import (
+    _BLOCK_ELEMENTS,
+    DomainError,
+    RandomStream,
+    as_points,
+    map_uniform_blocks,
+    uniform_blocks,
+)
 
 __all__ = [
     "CERTIFICATION_LIMIT",
@@ -222,19 +229,18 @@ class McEstimate:
     std_error: float
 
 
-def _sample_mean(fn: Callable, stream: RandomStream, n: int, dim: int, block: int) -> McEstimate:
-    """Mean and standard error of ``fn`` over n uniform points, drawn in blocks.
+def _sample_mean(block_values: Iterable[np.ndarray], n: int) -> McEstimate:
+    """Mean and standard error of n sample values, handed over block by block in order.
 
-    Each block is evaluated as it is drawn, so memory holds the n values and
-    one block of points.
+    Memory holds the n values and whatever one block needs.
     """
     if n < 1:
         raise DomainError("need at least one sample")
     values = np.empty(n)
     done = 0
-    for pts in uniform_blocks(stream, n, dim, block):
-        values[done : done + pts.shape[0]] = fn(pts)
-        done += pts.shape[0]
+    for block in block_values:
+        values[done : done + block.shape[0]] = block
+        done += block.shape[0]
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(float(values.mean()), se)
 
@@ -246,11 +252,13 @@ def maximal_convex_integral(
 
     One minus the returned mean estimates the hull volume.  Points come from
     the ``hull-integral`` substream in 8,192-point blocks, so the estimate
-    depends only on ``stream`` and ``num_points``.
+    depends only on ``stream`` and ``num_points``.  The blocks are evaluated
+    one after another: the evaluator's basis cache is state, which one block
+    hands to the next.
     """
     evaluator = MaximalConvexEvaluator(points, dim)
-    return _sample_mean(evaluator.values, stream.substream("hull-integral"), num_points, dim,
-                        _QUERY_BLOCK)
+    blocks = uniform_blocks(stream.substream("hull-integral"), num_points, dim, _QUERY_BLOCK)
+    return _sample_mean(map(evaluator.values, blocks), num_points)
 
 
 def empirical_error_lower_bound(
@@ -357,8 +365,9 @@ def cap_volume_mc(
     if dim < 1:
         raise DomainError("dimension must be positive")
     s = (1.0 + t) / 4.0
-    return _sample_mean(lambda pts: ((pts - s) ** 2).sum(axis=1) <= dim * s * s,
-                        stream.substream("cap-volume"), num_samples, dim, 65536)
+    values = map_uniform_blocks(lambda pts: ((pts - s) ** 2).sum(axis=1) <= dim * s * s,
+                                stream.substream("cap-volume"), num_samples, dim, 8192)
+    return _sample_mean(values, num_samples)
 
 
 def chernoff_factor(s: float, alpha: float) -> float:

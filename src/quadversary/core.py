@@ -7,13 +7,22 @@ Queries come one point or one block of points at a time.
 Everything downstream (adversaries, bound calculators, baselines) works with
 the transcript produced by :func:`run_algorithm`: an (n, d) array of query
 points and the n values returned there.
+
+Uniform samples come from one PCG64 generator per stream, in blocks.
+:func:`map_uniform_blocks` maps a function over the blocks on every CPU of
+the process, each thread drawing the blocks it takes from a copy of the
+generator jumped ahead to each block's first row, and returns the results in
+block order; so Monte Carlo bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -229,19 +238,114 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def uniform_blocks(
-    stream: RandomStream, total: int, dim: int, block: int = 8192
-) -> Iterable[np.ndarray]:
-    """Yield ``total`` uniform points in blocks of ``block``, the last holding the rest.
+def _draw(
+    gen: np.random.Generator, indices: Iterable[int], total: int, dim: int, block: int,
+    buffer: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(i, rows of block i)`` for the increasing block indices ``indices``.
 
-    The blocks are consecutive rows of the one generator ``stream`` builds, so
-    the points they make up depend on ``stream`` and ``total`` only, never on
-    ``block``.
+    Row j holds draws j * dim to (j + 1) * dim - 1 of the PCG64 generator
+    ``gen`` (``Generator.random`` takes one 64-bit output per double).  The
+    rows are drawn by a copy of ``gen``, which is left as it was; the copy
+    jumps over the blocks it skips in O(log) steps.  Every block is
+    ``buffer``, refilled.
     """
+    bits = copy.copy(gen.bit_generator)
+    own = np.random.Generator(bits)
+    drawn = 0
+    for i in indices:
+        lo = i * block
+        out = buffer[: min(block, total - lo)]
+        bits.advance(lo * dim - drawn)
+        own.random(out=out)
+        drawn = (lo + out.shape[0]) * dim
+        yield i, out
+
+
+def _block_count(total: int, block: int) -> int:
     if total < 0:
         raise DomainError("sample count must be nonnegative")
     if block < 1:
         raise DomainError("block size must be positive")
+    return -(-total // block)
+
+
+def uniform_blocks(
+    stream: RandomStream, total: int, dim: int, block: int = 8192
+) -> Iterator[np.ndarray]:
+    """Yield ``total`` uniform points in blocks of ``block``, the last holding the rest.
+
+    The blocks are consecutive rows of the one generator ``stream`` builds, so
+    the points they make up depend on ``stream`` and ``total`` only, never on
+    ``block``.  Every block is one buffer that the next block overwrites.
+    The arguments are checked and the buffer allocated by the call itself;
+    the rows are drawn as the iterator is read.
+    """
+    count = _block_count(total, block)
+    buffer = np.empty((min(block, total), dim))
+    return (pts for _, pts in _draw(stream.generator(), range(count), total, dim, block, buffer))
+
+
+def _cpu_count() -> int:
+    """CPUs of this process's affinity mask (every CPU where there is no mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_uniform_blocks(
+    fn: Callable[[np.ndarray], object], stream: RandomStream, total: int, dim: int, block: int
+) -> list:
+    """``[fn(pts) for pts in uniform_blocks(stream, total, dim, block)]``, on every CPU.
+
+    One thread per CPU of the affinity mask, but never more than there are
+    blocks: the calling thread and one started thread per further CPU, so
+    one block runs inline, with no thread started.  The threads take the
+    blocks in increasing order, one at a time, so a thread whose CPU the
+    host runs less takes fewer of them.  ``stream`` builds one generator,
+    and each thread draws its blocks from its own copy of it, jumped ahead
+    over the blocks the others took, into one buffer allocated on the
+    calling thread (a thread's own malloc arena keeps much of what it
+    frees).  Results come back in block order, so any reduction of them in
+    that order is bitwise the same on any CPU count.
+
+    ``fn`` may run on several threads at once and must not keep ``pts``,
+    whose buffer its thread's next block overwrites.  Worker threads call
+    nothing but ``fn`` and the generator.  Once ``fn`` raises, no later
+    block is started; when every thread has stopped, the exception of the
+    earliest failing block, the one the serial loop meets, is raised
+    unchanged.
+    """
+    count = _block_count(total, block)
     gen = stream.generator()
-    for lo in range(0, total, block):
-        yield gen.random((min(block, total - lo), dim))
+    workers = max(1, min(_cpu_count(), count))
+    buffers = [np.empty((min(block, total), dim)) for _ in range(workers)]
+    results: list = [None] * count
+    failures: list[tuple[int, Exception]] = []
+    order = iter(range(count))  # shared; each next(), atomic under the GIL, hands out a block
+
+    def claim() -> Iterator[int]:
+        for i in order:
+            if any(i > j for j, _ in failures):
+                return
+            yield i
+
+    def run(w: int) -> None:
+        i = -1
+        try:
+            for i, pts in _draw(gen, claim(), total, dim, block, buffers[w]):
+                results[i] = fn(pts)
+        except Exception as exc:
+            failures.append((i, exc))
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results

@@ -105,7 +105,7 @@ def solve(objective, constraints, rhs) -> LPSolution:
     # whether they have switched to Bland's rule.
     ids, inv, bas, rhs = np.arange(k), np.tile(np.eye(m), (k, 1, 1)), basis.copy(), b
     count, stalled, bland = np.zeros(k, dtype=int), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
-    while True:
+    while ids.size:  # an empty batch takes no pivot
         values = np.matmul(inv, rhs[..., None])[..., 0]
         reduced = np.matmul(cost[bas][:, None, :], inv)[:, 0] @ columns - cost
         moving = (reduced < -tol).any(axis=1)

@@ -4,7 +4,9 @@ The staircase rule evaluates a monotone integrand on a shared uniform grid
 and averages lower and upper cell corners; for monotone functions the true
 integral is bracketed between the two averages, giving a certified error at
 n = (m+1)^d function values.  Classical Monte Carlo carries the constant-free
-n^(-1/2) root-mean-square guarantee for [0,1]-valued integrands.  Piecewise
+n^(-1/2) root-mean-square guarantee for [0,1]-valued integrands; it draws
+and evaluates its sample blocks on every CPU, and its bytes do not depend on
+the CPU count.  Piecewise
 constant approximation and its integral adapter demonstrate that integrating
 an approximant can never beat the approximation error.
 
@@ -23,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DomainError, EvalOracle, Interval, RandomStream, as_points, uniform_blocks
+from .core import DomainError, EvalOracle, Interval, RandomStream, as_points, map_uniform_blocks
 
 __all__ = [
     "BracketEstimate",
@@ -40,9 +42,11 @@ __all__ = [
 class BracketEstimate:
     """Two-sided staircase estimate with a certified half-width.
 
-    ``bracket`` holds the lower- and upper-corner averages, rounded to
-    nearest.  For a monotone oracle the true integral lies between them; the
-    bracket is a proof only under that assumption, which is not checked.
+    ``bracket`` runs from below the lower-corner average to above the
+    upper-corner average, each rounded outward by a bound on its summation
+    error, so it never reads ``exact``.  For a monotone oracle the true
+    integral lies in it; the bracket is a proof only under that assumption,
+    which is not checked.
     """
 
     bracket: Interval
@@ -56,6 +60,25 @@ class BracketEstimate:
 
 # Largest slab of a grid walk, in nodes, unless one axis alone is longer.
 _SLAB_NODES = 65536
+
+
+def _mean_enclosure(sums: list[float], count: int) -> tuple[float, float]:
+    """Floats below and above the mean of ``count`` values in [0, 1], given as part sums.
+
+    The parts and their ``math.fsum`` are one floating-point summation of the
+    values, off by at most gamma_count times the sum of their magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2),
+    with gamma_k = k u / (1 - k u) and u = 2^-53; no value is negative, so
+    that sum is the sum itself.  Converting ``count`` and dividing add two
+    roundings, so the computed mean a is within gamma_{count+2} /
+    (1 - gamma_{count+2}) a <= 2 (count + 2) u a of the true mean.  The
+    radius 2 (count + 3) u a covers its own rounding too; both ends are
+    rounded outward and clipped to [0, 1].
+    """
+    mean = math.fsum(sums) / count
+    radius = mean * (2 * (count + 3) * 2.0**-53)
+    return (max(0.0, math.nextafter(mean - radius, -math.inf)),
+            min(1.0, math.nextafter(mean + radius, math.inf)))
 
 
 def _full_grid(nodes: np.ndarray, dim: int) -> np.ndarray:
@@ -99,11 +122,12 @@ def staircase_monotone(oracle: EvalOracle, cells_per_axis: int) -> BracketEstima
     """Bracket a monotone integral between lower- and upper-corner averages.
 
     Both averages reuse one (m+1)^d node grid, which halves the evaluations
-    compared to two separate grids and keeps the bracket exact.  The grid is
-    evaluated slab by slab, so memory is O(slab * d) for any m and d; the
-    slab sums are added by ``math.fsum``.  The reported certificate is the
-    tighter of the realized half-width (U - L) / 2 and the telescoping cap
-    d / (2 m).  Both presume a monotone oracle, which is not checked.
+    compared to two separate grids.  The grid is evaluated slab by slab, so
+    memory is O(slab * d) for any m and d; the slab sums are added by
+    ``math.fsum`` and the averages rounded outward by :func:`_mean_enclosure`.
+    The reported certificate is the tighter of the realized half-width
+    (U - L) / 2 and the telescoping cap d / (2 m).  Both presume a monotone
+    oracle, which is not checked.
     """
     m = cells_per_axis
     if m < 1:
@@ -117,8 +141,8 @@ def staircase_monotone(oracle: EvalOracle, cells_per_axis: int) -> BracketEstima
         upper = tuple(slice(max(0, 1 - r.start), None) for r in region)
         lower_sums.append(float(slab[lower].sum()))
         upper_sums.append(float(slab[upper].sum()))
-    lower = math.fsum(lower_sums) / m**d
-    upper = math.fsum(upper_sums) / m**d
+    lower = _mean_enclosure(lower_sums, m**d)[0]
+    upper = _mean_enclosure(upper_sums, m**d)[1]
     return BracketEstimate(
         bracket=Interval(lower, upper),
         certified_error=min((upper - lower) / 2.0, d / (2.0 * m)),
@@ -141,14 +165,17 @@ def staircase_rate(oracle: EvalOracle) -> tuple[list[BracketEstimate], float]:
 def monte_carlo(oracle: EvalOracle, n: int, stream: RandomStream) -> tuple[float, float]:
     """Uniform-sample mean with the constant-free n^(-1/2) error guarantee.
 
-    Samples are drawn in fixed-order blocks of one generator and block sums
-    are reduced in block order, so the estimate depends only on the seed and n.
+    Samples are the rows of one generator in 8,192-point blocks.  The blocks
+    are drawn and evaluated on every CPU by ``core.map_uniform_blocks``, so
+    ``oracle.fn`` may run on several threads at once, and the block sums are
+    reduced in block order: the estimate depends only on the seed and n, not
+    on the CPU count.
     """
     if n < 1:
         raise DomainError("need at least one sample")
-    blocks = uniform_blocks(stream.substream("mc"), n, oracle.dim)
-    total = sum(float(oracle.evaluate(pts).sum()) for pts in blocks)
-    return total / n, 1.0 / math.sqrt(n)
+    sums = map_uniform_blocks(lambda pts: float(oracle.evaluate(pts).sum()),
+                              stream.substream("mc"), n, oracle.dim, 8192)
+    return sum(sums) / n, 1.0 / math.sqrt(n)
 
 
 @dataclass(frozen=True)

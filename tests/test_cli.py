@@ -221,7 +221,8 @@ def test_quad_staircase_row(tmp_path):
     ])
     assert code == 0
     row = read_csv(out)[0]
-    assert float(row["estimate"]) == 0.5
+    # the midpoint of the corner averages 1/4 and 3/4, each rounded outward
+    assert float(row["estimate"]) == pytest.approx(0.5, abs=1e-15)
     assert float(row["certified_error_or_rmse"]) == 0.25
     assert float(row["true_value_if_known"]) == 0.5
     manifest = json.loads((tmp_path / "quad.manifest.json").read_text())
@@ -501,6 +502,17 @@ def test_cli_import_leaves_scipy_optimize_and_special_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"  # no scipy module at all, optimize and special included
+
+
+def test_cli_import_loads_no_concurrent_futures_and_starts_no_thread():
+    done = _fresh_python(
+        "-c",
+        "import sys, threading, quadversary.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')), "
+        "threading.active_count())",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] 1"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

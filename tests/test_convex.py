@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, linprog
 from scipy.spatial import ConvexHull
 
-from quadversary import algorithms, convex, lp
+from quadversary import algorithms, convex, core, lp
 from quadversary.acceptance import maximal_convex_1d
 from quadversary.core import DomainError, RandomStream, run_algorithm
 
@@ -359,6 +359,15 @@ def test_cap_volume_rejects_out_of_range_parameters():
     for t, dim in ((-0.1, 3), (1.5, 3), (0.3, 0)):
         with pytest.raises(DomainError):
             convex.cap_volume_mc(t, dim, 100, RandomStream(12))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_cap_volume_on_any_cpu_count_equals_one_cpu(monkeypatch, workers):
+    estimates = []
+    for count in (1, workers):
+        monkeypatch.setattr(core, "_cpu_count", lambda count=count: count)
+        estimates.append(convex.cap_volume_mc(0.2, 3, 3 * 8192 + 5, RandomStream(15)))
+    assert estimates[0] == estimates[1]
 
 
 def test_cap_volume_known_cases():

@@ -1,17 +1,20 @@
 import itertools
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from quadversary import algorithms
+from quadversary import algorithms, core
 from quadversary.core import (
     BudgetExceededError,
     DomainError,
     EvalOracle,
     RandomStream,
     as_points,
+    map_uniform_blocks,
     run_algorithm,
     uniform_blocks,
 )
@@ -266,10 +269,70 @@ def test_uniform_blocks_do_not_depend_on_the_block_size():
     total, dim = 10_000, 3
     whole = stream.generator().random((total, dim))
     for block in (1, 1000, 8192):
-        blocks = list(uniform_blocks(stream, total, dim, block))
+        # each block is one buffer that the next overwrites, so keep copies
+        blocks = [b.copy() for b in uniform_blocks(stream, total, dim, block)]
         assert [b.shape[0] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert 1 <= blocks[-1].shape[0] <= block
         assert np.concatenate(blocks).tobytes() == whole.tobytes(), block
+
+
+def test_draw_jumps_over_skipped_blocks_and_leaves_the_generator_alone():
+    gen = RandomStream(9).substream("jump").generator()
+    state = gen.bit_generator.state
+    total, dim, block = 4500, 7, 1000
+    whole = RandomStream(9).substream("jump").generator().random((total, dim))
+    for indices in ([], [0], [4], [1, 2, 4], [0, 3]):
+        drawn = [(i, b.copy()) for i, b in core._draw(gen, indices, total, dim, block,
+                                                        np.empty((block, dim)))]
+        assert [i for i, _ in drawn] == indices
+        for i, b in drawn:
+            assert b.tobytes() == whole[i * block : (i + 1) * block].tobytes(), (indices, i)
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_map_uniform_blocks_returns_the_serial_results_in_block_order(monkeypatch, workers):
+    monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+    stream = RandomStream(10).substream("map")
+    for total in (0, 1, 999, 1000, 1001, 5 * 1000 + 3):
+        serial = [b.sum(axis=1) for b in uniform_blocks(stream, total, 3, 1000)]
+        split = map_uniform_blocks(lambda pts: pts.sum(axis=1), stream, total, 3, 1000)
+        assert len(split) == len(serial)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(split, serial))
+
+
+def test_map_uniform_blocks_raises_the_earliest_failing_block_and_starts_none_after_one_fails(
+    monkeypatch,
+):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    stream = RandomStream(11)
+    firsts = [b[0, 0] for b in uniform_blocks(stream, 6000, 2, 1000)]
+    before = threading.active_count()
+
+    def run(failing, slow, pause):
+        started = []
+
+        def fn(pts):
+            i = firsts.index(pts[0, 0])
+            started.append(i)
+            if i in slow:
+                time.sleep(pause)
+            if i in failing:
+                raise DomainError(f"block {i}")
+            return i
+
+        with pytest.raises(DomainError) as caught:
+            map_uniform_blocks(fn, stream, 6000, 2, 1000)
+        assert threading.active_count() == before
+        return str(caught.value), set(started)
+
+    # Block 3 fails on one thread while block 1 waits on the other; the
+    # serial loop meets block 1 first, and so does the caller.
+    message, started = run({1, 3}, {1}, 0.2)
+    assert message == "block 1"
+    assert started <= {0, 1, 2, 3}
+    # Block 1 fails at once while block 0 waits: no later block is started.
+    assert run({1}, {0, 2, 3, 4, 5}, 0.05) == ("block 1", {0, 1})
 
 
 def test_make_algorithm_rejects_unknown_ids_and_nonpositive_dimensions():

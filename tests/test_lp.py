@@ -57,6 +57,15 @@ def test_negative_rhs_rejected():
         _solve_one([1.0], [[1.0]], [-0.5])
 
 
+def test_empty_batch_returns_empty_fields():
+    solution = lp.solve([1.0, 1.0], np.eye(2), np.zeros((0, 2)))
+    assert solution.value.shape == (0,)
+    assert solution.duals.shape == (0, 2)
+    assert solution.basis.shape == (0, 2)
+    assert solution.basis_inverse.shape == (0, 2, 2)
+    assert solution.iterations == 0
+
+
 def test_one_dimensional_rhs_rejected():
     with pytest.raises(lp.LPError, match="shapes"):
         lp.solve([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])

@@ -1,11 +1,14 @@
 import math
+import threading
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quadversary import algorithms, quadrature
-from quadversary.core import DomainError, EvalOracle, RandomStream
+from quadversary import algorithms, core, quadrature
+from quadversary.core import DomainError, EvalOracle, RandomStream, uniform_blocks
 
 
 def orthant_mixture_oracle(anchors: np.ndarray, weights: np.ndarray) -> EvalOracle:
@@ -25,19 +28,27 @@ def orthant_mixture_integral(anchors: np.ndarray, weights: np.ndarray) -> float:
 
 def test_staircase_ramp_two_cells():
     bracket = quadrature.staircase_monotone(algorithms.make_oracle("affine", 1), 2)
-    assert bracket.bracket.low == 0.25
-    assert bracket.bracket.high == 0.75
-    assert bracket.estimate == 0.5
+    # the corner averages 1/4 and 3/4, each rounded outward by its error bound
+    assert 0.25 - 1e-15 <= bracket.bracket.low < 0.25
+    assert 0.75 < bracket.bracket.high <= 0.75 + 1e-15
+    assert bracket.estimate == pytest.approx(0.5, abs=1e-15)
     assert bracket.certified_error == 0.25
     assert bracket.samples_used == 3
     assert bracket.bracket.low <= 0.5 <= bracket.bracket.high
 
 
-def test_staircase_constant_is_exact():
-    oracle = EvalOracle(dim=2, fn=lambda pts: np.full(pts.shape[0], 0.7))
-    bracket = quadrature.staircase_monotone(oracle, 3)
-    assert bracket.bracket.low == bracket.bracket.high == 0.7
-    assert bracket.certified_error == 0.0
+def test_staircase_brackets_of_constants_hold_them_and_are_never_exact():
+    # Averaging rounds: for c = 0.1, m = 3, d = 1 the nearest float to the
+    # computed lower average is 0.10000000000000002, so only an outward
+    # bracket holds c, and the rule proves no average exactly.
+    for c in (0.1, 0.2, 0.3, 0.7, 1.0 / 3.0):
+        for m in (2, 3, 5, 7):
+            for d in (1, 2, 3):
+                oracle = EvalOracle(dim=d, fn=lambda pts, c=c: np.full(pts.shape[0], c))
+                bracket = quadrature.staircase_monotone(oracle, m)
+                assert bracket.bracket.low < c < bracket.bracket.high, (c, m, d)
+                assert not bracket.bracket.exact
+                assert bracket.certified_error <= 1e-13
 
 
 def test_staircase_brackets_the_step_integrand():
@@ -113,8 +124,16 @@ def test_slab_walk_matches_the_dense_grid(monkeypatch, slab_nodes, d, m):
         nodes = np.linspace(0.0, 1.0, m + 1)
         dense = oracle.evaluate(quadrature._full_grid(nodes, d)).reshape((m + 1,) * d)
         bracket = quadrature.staircase_monotone(oracle, m)
-        assert abs(bracket.bracket.low - dense[(slice(0, m),) * d].mean()) <= 1e-15
-        assert abs(bracket.bracket.high - dense[(slice(1, m + 1),) * d].mean()) <= 1e-15
+        # Each end lies on its side of the exact corner average, within the
+        # outward radius 2 (m^d + 3) u of the rounded average plus that
+        # average's own error, 2 (m^d + 2) u, relative.
+        ends = ((bracket.bracket.low, dense[(slice(0, m),) * d], 1),
+                (bracket.bracket.high, dense[(slice(1, m + 1),) * d], -1))
+        for end, corners, side in ends:
+            exact = sum(map(Fraction, corners.ravel().tolist())) / corners.size
+            assert side * (exact - Fraction(end)) >= 0
+            slack = Fraction(5 * (corners.size + 3), 2**53) * exact + Fraction(1, 2**1073)
+            assert abs(exact - Fraction(end)) <= slack
         corners = oracle.evaluate(quadrature._full_grid(np.arange(m) / m, d))
         approx = quadrature.pc_approximate(oracle, m)
         assert np.array_equal(approx.values, corners.reshape((m,) * d))
@@ -132,6 +151,52 @@ def test_monte_carlo_constant_is_exact():
     estimate, rmse = quadrature.monte_carlo(oracle, 500, RandomStream(32))
     assert estimate == pytest.approx(0.7, abs=1e-15)
     assert rmse == 1.0 / math.sqrt(500)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_monte_carlo_on_any_cpu_count_equals_the_serial_block_loop(monkeypatch, workers):
+    monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+    for d in (1, 10):
+        oracle = algorithms.make_oracle("product", d)  # fractional values, so order shows
+        for n in (1, 8191, 8192, 8193, 3 * 8192 + 5):
+            stream = RandomStream(35).substream(n, d)
+            blocks = uniform_blocks(stream.substream("mc"), n, d)
+            serial = sum(float(oracle.evaluate(pts).sum()) for pts in blocks) / n
+            assert quadrature.monte_carlo(oracle, n, stream)[0] == serial, (d, n)
+
+
+def test_monte_carlo_starts_no_thread_for_one_block(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 4)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    oracle = algorithms.make_oracle("threshold", 3)
+    for n in (1, 8192):
+        quadrature.monte_carlo(oracle, n, RandomStream(36))
+    assert started == []
+    quadrature.monte_carlo(oracle, 8193, RandomStream(36))
+    assert len(started) == 1
+
+
+def test_an_oracle_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    planted = DomainError("planted in a worker")
+    raised_off_main = []
+
+    def fn(pts):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)  # leave the second thread a block
+            return pts.mean(axis=1)
+        time.sleep(0.3)  # fail after the main thread has run out of blocks
+        raised_off_main.append(True)
+        raise planted
+
+    before = threading.active_count()
+    with pytest.raises(DomainError) as caught:
+        quadrature.monte_carlo(EvalOracle(dim=4, fn=fn), 3 * 8192 + 5, RandomStream(37))
+    assert caught.value is planted
+    assert raised_off_main == [True]
+    assert threading.active_count() == before
 
 
 def test_monte_carlo_step_integrand_concentration():
