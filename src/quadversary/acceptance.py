@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import algorithms, convex, monotone, quadrature
-from .core import RandomStream
+from .core import RandomStream, Transcript
 
 __all__ = [
     "CRITERIA",
@@ -134,9 +134,11 @@ def criterion_01_monotone_count_reproduction() -> str:
 @_criterion(2, cap_s=1.0)
 def criterion_02_adversary_sharpness_at_center() -> str:
     for d in range(1, 21):
-        pair = monotone.build_fooling_pair(np.full((1, d), 0.5), d)
-        _require(pair.gap.low == 1.0 - 2.0 ** (-d), f"d={d}: gap {pair.gap.low!r}")
-    return "single centered query yields gap exactly 1 - 2^-d for d=1..20"
+        centre = np.full((1, d), 0.5)
+        _, cert = monotone.certify(Transcript(centre, monotone.threshold_values(centre)), d)
+        _require(cert.value == (1.0 - 2.0 ** (-d)) / 2.0 and cert.provenance == "exact",
+                 f"d={d}: {cert}")
+    return "single centered query certifies exactly (1 - 2^-d)/2 for d=1..20"
 
 
 @_criterion(3, cap_s=30.0)
@@ -216,16 +218,14 @@ def criterion_06_maximal_convex_correctness() -> str:
 
 @_criterion(7, cap_s=600.0)
 def criterion_07_hull_volume_statistical_bound() -> str:
-    t0 = convex.default_height_threshold().t0
     gen = RandomStream(307).substream("vertex-sets").generator()
     for trial in range(20):
         n = int(gen.integers(1, 9))
         vertices = np.unique(gen.integers(0, 2, size=(n, 8)).astype(float), axis=0)
         stream = RandomStream(308).substream(trial)
-        est = convex.maximal_convex_integral(vertices, 8, 100_000, stream)
-        hull_volume = 1.0 - est.value
-        bound = convex.hull_volume_upper_bound(len(vertices), 8, t0)
-        _require(hull_volume <= bound + 3.0 * est.std_error, f"trial {trial}: {est}")
+        # theorem <= error.high is 1 - mean <= cap + 3 SE: the hull volume under its cap
+        cert = convex.empirical_error_lower_bound(vertices, 8, 100_000, stream)
+        _require(cert.theorem <= cert.error.high, f"trial {trial}: {cert}")
     return "20 vertex-set hull volumes below the closed-form cap (d=8, 1e5 samples)"
 
 

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algorithms, convex, monotone, quadrature
-from .core import DomainError, RandomStream, run_algorithm
+from .core import ConsistencyError, DomainError, RandomStream, run_algorithm
 
 __all__ = ["ConfigError", "ConsistencyError", "main", "run"]
 
@@ -45,10 +45,6 @@ OUT_DIR_ENV = "QUADVERSARY_OUT_DIR"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
-
-
-class ConsistencyError(RuntimeError):
-    """An internal consistency gate failed (exit code 3)."""
 
 
 def _format_cell(value) -> str:
@@ -101,20 +97,7 @@ def _finish(out: Path, command: str, config: dict, summary: str) -> int:
     return 0
 
 
-def _convex_theorem_bound(n: int, dim: int, t0: float) -> float:
-    """Error floor implied by the closed-form hull-volume cap."""
-    return max(0.0, 0.5 * (1.0 - convex.hull_volume_upper_bound(n, dim, t0)))
-
-
-def _check_d_and_seed(args) -> None:
-    if args.d < 1:
-        raise ConfigError("d must be at least 1")
-    if not (0 <= args.seed < 2**64):
-        raise ConfigError("seed must be a 64-bit nonnegative integer")
-
-
 def cmd_adversary(args) -> int:
-    _check_d_and_seed(args)
     if args.budget < 0:
         raise ConfigError("budget must be nonnegative")
     if args.problem_class == "convex" and args.mc_samples < 1:
@@ -131,43 +114,30 @@ def cmd_adversary(args) -> int:
     except (MemoryError, ValueError) as exc:  # numpy refuses a design this large
         raise ConfigError(f"budget {args.budget} is too large for a {args.algorithm} "
                           f"design at d={dim}: {exc}") from None
+    is_monotone = args.problem_class == "monotone"
+    oracle = (algorithms.make_oracle("threshold", dim) if is_monotone
+              else algorithms.zero_oracle(dim))
+    transcript, _ = run_algorithm(alg, oracle, args.budget)
+    out = _resolve_out(args.out, f"adversary.{args.format}")
 
-    if args.problem_class == "monotone":
-        oracle = algorithms.make_oracle("threshold", dim)
-        transcript, _ = run_algorithm(alg, oracle, args.budget)
-        pair = monotone.build_fooling_pair(transcript.points, dim)
-        for name, values in (("f+", pair.fplus_values), ("f-", pair.fminus_values)):
-            if not np.array_equal(values(transcript.points), transcript.values):
-                raise ConsistencyError(f"{name} disagrees with the probe on the transcript")
-        certified = pair.gap.low / 2.0
-        theorem = monotone.error_lower_bound(pair.n, dim)
-        if certified < theorem - 1e-12:
-            raise ConsistencyError(
-                f"certified bound {certified} fell below the closed form {theorem}"
-            )
+    if is_monotone:
+        pair, cert = monotone.certify(transcript, dim)
         gap = {"gap_low": pair.gap.low, "gap_high": pair.gap.high,
-               "guaranteed_gap": 2.0 * theorem,
-               "provenance": "exact" if pair.gap.exact else "bracket"}
-        out = _resolve_out(args.out, f"adversary.{args.format}")
+               "guaranteed_gap": 2.0 * cert.theorem, "provenance": cert.provenance}
         if args.format == "json":
             _write_json(out, {
                 "d": dim, "L": pair.lower_corners.tolist(), "U": pair.upper_corners.tolist(),
-                **gap, "error_lower_bound": certified, "theorem_lower_bound": theorem,
+                **gap, "error_lower_bound": cert.value, "theorem_lower_bound": cert.theorem,
             })
         else:
             header = ["d", "n", "ell", *gap, "error_lower_bound"]
-            _write_report(out, header, [[dim, pair.n, pair.ell, *gap.values(), certified]], "csv")
+            _write_report(out, header, [[dim, pair.n, pair.ell, *gap.values(), cert.value]], "csv")
         return _finish(out, "adversary", config,
-                       f"adversary monotone d={dim} n={pair.n} certified>={certified!r}")
+                       f"adversary monotone d={dim} n={pair.n} certified>={cert.value!r}")
 
-    oracle = algorithms.zero_oracle(dim)
-    transcript, _ = run_algorithm(alg, oracle, args.budget)
-    estimate = convex.empirical_error_lower_bound(
+    cert = convex.empirical_error_lower_bound(
         transcript.points, dim, args.mc_samples, stream.substream("hull-mc")
     )
-    threshold = convex.default_height_threshold()
-    theorem = _convex_theorem_bound(transcript.n, dim, threshold.t0)
-    out = _resolve_out(args.out, f"adversary.{args.format}")
     header = [
         "d",
         "n",
@@ -177,18 +147,12 @@ def cmd_adversary(args) -> int:
         "ci_high",
         "error_lower_bound_theorem",
     ]
-    rows = [[
-        dim,
-        transcript.n,
-        estimate.value,
-        estimate.std_error,
-        estimate.value - 3.0 * estimate.std_error,
-        estimate.value + 3.0 * estimate.std_error,
-        theorem,
-    ]]
+    rows = [[dim, transcript.n, cert.value, cert.std_error, cert.error.low, cert.error.high,
+             cert.theorem]]
     _write_report(out, header, rows, args.format)
-    return _finish(out, "adversary", {**config, "mc_samples": args.mc_samples, "t0": threshold.t0},
-                   f"adversary convex d={dim} n={transcript.n} stat>={estimate.value!r}")
+    t0 = convex.default_height_threshold().t0
+    return _finish(out, "adversary", {**config, "mc_samples": args.mc_samples, "t0": t0},
+                   f"adversary convex d={dim} n={transcript.n} stat>={cert.value!r}")
 
 
 def cmd_bounds(args) -> int:
@@ -259,7 +223,7 @@ def cmd_t0(args) -> int:
 
 
 def cmd_quad(args) -> int:
-    _check_d_and_seed(args)
+    stream = RandomStream(args.seed)  # validates --seed for every method
     dim = args.d
     oracle = algorithms.make_oracle(args.oracle, dim)
     truth = algorithms.true_integral(args.oracle, dim)
@@ -274,7 +238,7 @@ def cmd_quad(args) -> int:
         if args.n < 1:
             raise ConfigError("mc needs --n >= 1")
         config.update(n=args.n, seed=args.seed)
-        estimate, rmse = quadrature.monte_carlo(oracle, args.n, RandomStream(args.seed))
+        estimate, rmse = quadrature.monte_carlo(oracle, args.n, stream)
         rows.append([dim, "mc", args.n, estimate, rmse, truth])
     if args.method == "rate":
         brackets, slope = quadrature.staircase_rate(oracle)

@@ -36,7 +36,9 @@ import numpy as np
 from . import lp
 from .core import (
     _BLOCK_ELEMENTS,
+    Certificate,
     DomainError,
+    Interval,
     RandomStream,
     as_points,
     map_uniform_blocks,
@@ -263,15 +265,19 @@ def maximal_convex_integral(
 
 def empirical_error_lower_bound(
     points: np.ndarray, dim: int, num_points: int, stream: RandomStream
-) -> McEstimate:
+) -> Certificate:
     """Statistical error floor for any algorithm that queried the (n, d) points P.
 
     Half the integral estimate: the algorithm cannot distinguish the zero
     function from the maximal vanishing convex function, so it errs by at
-    least half their integral difference on one of them.
+    least half their integral difference on one of them.  ``error`` is that
+    estimate -/+ 3 SE; ``theorem`` is (1 - :func:`hull_volume_upper_bound`) / 2 at ``t0``.
     """
     est = maximal_convex_integral(points, dim, num_points, stream)
-    return McEstimate(est.value / 2.0, est.std_error / 2.0)
+    value, se = est.value / 2.0, est.std_error / 2.0
+    cap = hull_volume_upper_bound(len(points), dim, default_height_threshold().t0)
+    return Certificate(value, se, Interval(value - 3.0 * se, value + 3.0 * se),
+                       0.5 * (1.0 - cap), "estimate")
 
 
 def caratheodory_cube_decomposition(

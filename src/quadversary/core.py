@@ -28,6 +28,8 @@ import numpy as np
 
 __all__ = [
     "BudgetExceededError",
+    "Certificate",
+    "ConsistencyError",
     "DomainError",
     "EvalOracle",
     "Interval",
@@ -47,6 +49,10 @@ class DomainError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An algorithm attempted a query beyond its information budget."""
+
+
+class ConsistencyError(RuntimeError):
+    """An internal consistency gate failed (exit code 3)."""
 
 
 def as_points(points, dim: int) -> np.ndarray:
@@ -77,6 +83,21 @@ class Interval:
     @property
     def exact(self) -> bool:
         return self.low == self.high
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """An error floor ``value`` for one run, its range ``error`` and the closed form ``theorem``.
+
+    ``provenance`` is stored, not inferred: ``exact`` or ``bracket`` for a proven range,
+    ``estimate`` for a Monte Carlo mean -/+ 3 ``std_error`` (0 for one sample).
+    """
+
+    value: float
+    std_error: float
+    error: Interval
+    theorem: float
+    provenance: str
 
 
 @dataclass(frozen=True)

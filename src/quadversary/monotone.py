@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ELEMENTS, DomainError, Interval, as_points
+from .core import (_BLOCK_ELEMENTS, Certificate, ConsistencyError, DomainError, Interval,
+                   Transcript, as_points)
 
 __all__ = [
     "MonotoneFoolingPair",
     "build_fooling_pair",
+    "certify",
     "complexity_lower_bound",
     "error_lower_bound",
     "threshold_values",
@@ -238,6 +240,24 @@ def build_fooling_pair(points: np.ndarray, dim: int) -> MonotoneFoolingPair:
     gap = Interval(max(0.0, (1.0 - lower.high) - upper.high - pad),
                    min(1.0, (1.0 - lower.low) - upper.low + pad))
     return MonotoneFoolingPair(arr[labels == 0], arr[labels == 1], dim, gap)
+
+
+def certify(transcript: Transcript, dim: int) -> tuple[MonotoneFoolingPair, Certificate]:
+    """The fooling pair of a probe transcript, and half its gap as the error floor.
+
+    Raises :class:`ConsistencyError` unless f+ and f- both equal the probe's
+    values on the transcript and the floor reaches :func:`error_lower_bound` - 1e-12.
+    """
+    pair = build_fooling_pair(transcript.points, dim)
+    for name, values in (("f+", pair.fplus_values), ("f-", pair.fminus_values)):
+        if not np.array_equal(values(transcript.points), transcript.values):
+            raise ConsistencyError(f"{name} disagrees with the probe on the transcript")
+    value = pair.gap.low / 2.0
+    theorem = error_lower_bound(pair.n, dim)
+    if value < theorem - 1e-12:
+        raise ConsistencyError(f"certified bound {value} fell below the closed form {theorem}")
+    return pair, Certificate(value, 0.0, Interval(value, pair.gap.high / 2.0), theorem,
+                             "exact" if pair.gap.exact else "bracket")
 
 
 def error_lower_bound(n: int, dim: int) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadversary import acceptance, algorithms, cli, monotone
+from quadversary import acceptance, algorithms, cli, core, monotone
 from quadversary.core import RandomStream, run_algorithm
 
 
@@ -45,6 +45,42 @@ def test_adversary_monotone_certificate_dominates_closed_form(tmp_path):
     assert float(row["gap_low"]) >= float(row["guaranteed_gap"]) - 1e-9
 
 
+GRID_D3_B4_JSON = """{
+  "L": [
+    [
+      0.25,
+      0.25,
+      0.25
+    ],
+    [
+      0.25,
+      0.25,
+      0.75
+    ],
+    [
+      0.25,
+      0.75,
+      0.25
+    ]
+  ],
+  "U": [
+    [
+      0.25,
+      0.75,
+      0.75
+    ]
+  ],
+  "d": 3,
+  "error_lower_bound": 0.4375,
+  "gap_high": 0.875,
+  "gap_low": 0.875,
+  "guaranteed_gap": 0.5,
+  "provenance": "exact",
+  "theorem_lower_bound": 0.25
+}
+"""
+
+
 def test_adversary_monotone_json_export(tmp_path):
     out = tmp_path / "adv.json"
     code = cli.main([
@@ -52,10 +88,8 @@ def test_adversary_monotone_json_export(tmp_path):
         "--algorithm", "grid-scan", "--format", "json", "--out", str(out),
     ])
     assert code == 0
+    assert out.read_text() == GRID_D3_B4_JSON
     obj = json.loads(out.read_text())
-    assert set(obj) == {"d", "L", "U", "gap_low", "gap_high", "guaranteed_gap", "provenance",
-                        "error_lower_bound", "theorem_lower_bound"}
-    assert obj["d"] == 3
     # L and U are the probe's split of the transcript
     alg = algorithms.make_algorithm("grid-scan", 3, 4, RandomStream(0).substream("algorithm"))
     points = run_algorithm(alg, algorithms.make_oracle("threshold", 3), 4)[0].points
@@ -79,6 +113,18 @@ def test_adversary_monotone_reports_exact_only_on_dyadic_corners(tmp_path):
     assert cli.main([*common, "--algorithm", "grid-scan", "--budget", "34",
                      "--out", str(out)]) == 0
     assert json.loads(out.read_text())["provenance"] == "exact"
+
+
+def test_adversary_monotone_dyadic_csv_bytes(tmp_path):
+    out = tmp_path / "adv.csv"
+    assert cli.main([
+        "adversary", "--class", "monotone", "--d", "3", "--budget", "4",
+        "--algorithm", "grid-scan", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (
+        b"d,n,ell,gap_low,gap_high,guaranteed_gap,provenance,error_lower_bound\n"
+        b"3,4,3,0.875,0.875,0.5,exact,0.4375\n"
+    )
 
 
 def test_adversary_monotone_bracket_at_high_dimension(tmp_path):
@@ -434,6 +480,10 @@ def test_pair_gate_exits_3_when_the_pair_disagrees_with_the_probe(
     assert code == 3
     assert "disagrees with the probe" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_consistency_error_is_the_core_class():
+    assert cli.ConsistencyError is core.ConsistencyError
 
 
 def test_gate_failure_exits_3(tmp_path, monkeypatch):

@@ -272,6 +272,22 @@ def test_integral_1d_single_origin_sample():
     assert abs(bound.value - 0.25) <= 1.5 * est.std_error
 
 
+def test_error_record_halves_the_estimate_next_to_the_closed_form():
+    # vertex-scan at d=48 with budget 1 queries the origin; there the cap
+    # (1 - t0) + 49 t0 (10/11)^48 is below 1, so the closed form is positive
+    alg = algorithms.make_algorithm("vertex-scan", 48, 1, RandomStream(0))
+    points = run_algorithm(alg, algorithms.zero_oracle(48), 1)[0].points
+    est = convex.maximal_convex_integral(points, 48, 200, RandomStream(5))
+    value, se = est.value / 2.0, est.std_error / 2.0
+    cap = convex.hull_volume_upper_bound(1, 48, convex.default_height_threshold().t0)
+    assert cap < 1.0
+    assert convex.empirical_error_lower_bound(points, 48, 200, RandomStream(5)) == core.Certificate(
+        value, se, core.Interval(value - 3.0 * se, value + 3.0 * se), 0.5 * (1.0 - cap), "estimate")
+    # one sample has no spread, and its mean is still only an estimate
+    one = convex.empirical_error_lower_bound(points, 48, 1, RandomStream(5))
+    assert one.std_error == 0.0 and one.error.exact and one.provenance == "estimate"
+
+
 def test_caratheodory_examples():
     decomposition = dict(convex.caratheodory_cube_decomposition(np.array([0.7, 0.2])))
     assert decomposition == {

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadversary import monotone, quadrature
+from quadversary import algorithms, monotone, quadrature
 from quadversary.acceptance import fraction_union_volume, grid_union_volume
-from quadversary.core import DomainError, RandomStream
+from quadversary.core import (Certificate, ConsistencyError, DomainError, Interval, RandomStream,
+                              Transcript, run_algorithm)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -425,3 +426,42 @@ def test_certificate_dominates_closed_form_for_every_algorithm():
                 assert pair.gap.exact
             certificate = pair.gap.low / 2.0
             assert certificate >= monotone.error_lower_bound(pair.n, d) - 1e-12
+
+
+def _grid_scan_transcript(d, budget):
+    alg = algorithms.make_algorithm("grid-scan", d, budget, RandomStream(0))
+    return run_algorithm(alg, algorithms.make_oracle("threshold", d), budget)[0]
+
+
+def test_certify_records_half_the_exact_gap_of_a_dyadic_design():
+    # grid-scan at d=3, budget 4: three lower corners and one upper, gap 7/8
+    pair, cert = monotone.certify(_grid_scan_transcript(3, 4), 3)
+    assert (pair.ell, pair.n, pair.gap) == (3, 4, Interval(0.875, 0.875))
+    assert cert == Certificate(0.4375, 0.0, Interval(0.4375, 0.4375), 0.25, "exact")
+
+
+def test_certify_records_a_bracket_as_such():
+    gen = RandomStream(23).substream("certify").generator()
+    points = gen.random((30, 4))
+    pair, cert = monotone.certify(Transcript(points, monotone.threshold_values(points)), 4)
+    assert cert.provenance == "bracket" and not pair.gap.exact
+    assert cert.error == Interval(pair.gap.low / 2.0, pair.gap.high / 2.0)
+    assert cert.value == cert.error.low and cert.std_error == 0.0
+    assert cert.theorem == monotone.error_lower_bound(30, 4)
+
+
+def _strict_holders(points, corners):
+    return (points[:, None, :] < corners[None, :, :]).all(axis=2).sum(axis=1)
+
+
+@pytest.mark.parametrize("name, mutant, message", [
+    ("_holders", _strict_holders, r"f\+ disagrees with the probe"),
+    ("error_lower_bound", lambda n, d: 0.9, "fell below the closed form 0.9"),
+], ids=["strict-box-test", "closed-form-above-certificate"])
+def test_certify_gates_raise_consistency_error(monkeypatch, name, mutant, message):
+    # a strict box test leaves each queried corner outside its own box
+    transcript = _grid_scan_transcript(4, 10)
+    monotone.certify(transcript, 4)
+    monkeypatch.setattr(monotone, name, mutant)
+    with pytest.raises(ConsistencyError, match=message):
+        monotone.certify(transcript, 4)
