@@ -139,6 +139,8 @@ def make_algorithm(
 ) -> AdaptiveCubature:
     if algorithm_id not in _ALGORITHMS:
         raise DomainError(f"unknown algorithm {algorithm_id!r}; choose from {ALGORITHM_IDS}")
+    if budget < 0:
+        raise DomainError("budget must be nonnegative")
     if dim < 1:  # the grid's lattice side divides by dim
         raise DomainError("algorithm dimension must be positive")
     return _ALGORITHMS[algorithm_id](dim, budget, stream)

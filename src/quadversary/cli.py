@@ -98,10 +98,6 @@ def _finish(out: Path, command: str, config: dict, summary: str) -> int:
 
 
 def cmd_adversary(args) -> int:
-    if args.budget < 0:
-        raise ConfigError("budget must be nonnegative")
-    if args.problem_class == "convex" and args.mc_samples < 1:
-        raise ConfigError("mc-samples must be at least 1")
     dim = args.d
     config = {"class": args.problem_class, "d": dim, "budget": args.budget,
               "seed": args.seed, "algorithm": args.algorithm}
@@ -235,8 +231,6 @@ def cmd_quad(args) -> int:
         rows.append([dim, "staircase", bracket.samples_used, bracket.estimate,
                      bracket.certified_error, truth])
     if args.method in ("mc", "both"):
-        if args.n < 1:
-            raise ConfigError("mc needs --n >= 1")
         config.update(n=args.n, seed=args.seed)
         estimate, rmse = quadrature.monte_carlo(oracle, args.n, stream)
         rows.append([dim, "mc", args.n, estimate, rmse, truth])

@@ -36,6 +36,7 @@ import numpy as np
 from . import lp
 from .core import (
     _BLOCK_ELEMENTS,
+    _SAMPLE_BLOCK,
     Certificate,
     DomainError,
     Interval,
@@ -99,9 +100,6 @@ def _lift(points: np.ndarray) -> np.ndarray:
     return lifted
 
 
-# Queries per block of MaximalConvexEvaluator.values: the hull integral's
-# sample block, so each drawn block is swept once.
-_QUERY_BLOCK = 8192
 # Cached bases per product of one sweep step: few, so that queries the first
 # steps resolve drop out of the later ones.
 _SWEEP_BASES = 16
@@ -122,9 +120,9 @@ class MaximalConvexEvaluator:
     feasible for a query certifies that query's optimum y.rhs(x) without
     another solve (reduced costs do not depend on the right-hand side).
 
-    Queries are taken in blocks of ``_QUERY_BLOCK`` (8,192, the hull
-    integral's sample block, so each drawn block is swept once) and
-    resolved in rounds.  An envelope sweep evaluates y.rhs(x) for all new
+    Queries are taken in blocks of ``core._SAMPLE_BLOCK`` (8,192), the size
+    of every uniform sample block, so each hull-integral block is swept once,
+    and resolved in rounds.  An envelope sweep evaluates y.rhs(x) for all new
     duals in one product, keeps each query's running minimum over the cache
     (an upper bound on the optimum, tight exactly when the basis attaining
     it is feasible) and tests feasibility only on bases within
@@ -177,8 +175,8 @@ class MaximalConvexEvaluator:
         if self._objective.size == 0:
             return np.ones(n_q)  # no mass at height 0: the hull is the top face
         best = np.empty(n_q)
-        for lo in range(0, n_q, _QUERY_BLOCK):
-            hi = min(n_q, lo + _QUERY_BLOCK)
+        for lo in range(0, n_q, _SAMPLE_BLOCK):
+            hi = min(n_q, lo + _SAMPLE_BLOCK)
             self._resolve(_lift(pts[lo:hi]), best[lo:hi])
         return np.clip(1.0 - best, 0.0, 1.0)
 
@@ -236,8 +234,6 @@ def _sample_mean(block_values: Iterable[np.ndarray], n: int) -> McEstimate:
 
     Memory holds the n values and whatever one block needs.
     """
-    if n < 1:
-        raise DomainError("need at least one sample")
     values = np.empty(n)
     done = 0
     for block in block_values:
@@ -259,7 +255,7 @@ def maximal_convex_integral(
     hands to the next.
     """
     evaluator = MaximalConvexEvaluator(points, dim)
-    blocks = uniform_blocks(stream.substream("hull-integral"), num_points, dim, _QUERY_BLOCK)
+    blocks = uniform_blocks(stream.substream("hull-integral"), num_points, dim)
     return _sample_mean(map(evaluator.values, blocks), num_points)
 
 
@@ -372,7 +368,7 @@ def cap_volume_mc(
         raise DomainError("dimension must be positive")
     s = (1.0 + t) / 4.0
     values = map_uniform_blocks(lambda pts: ((pts - s) ** 2).sum(axis=1) <= dim * s * s,
-                                stream.substream("cap-volume"), num_samples, dim, 8192)
+                                stream.substream("cap-volume"), num_samples, dim)
     return _sample_mean(values, num_samples)
 
 

@@ -8,7 +8,7 @@ Everything downstream (adversaries, bound calculators, baselines) works with
 the transcript produced by :func:`run_algorithm`: an (n, d) array of query
 points and the n values returned there.
 
-Uniform samples come from one PCG64 generator per stream, in blocks.
+Uniform samples come from one PCG64 generator per stream, in ``_SAMPLE_BLOCK``-row blocks.
 :func:`map_uniform_blocks` maps a function over the blocks on every CPU of
 the process, each thread drawing the blocks it takes from a copy of the
 generator jumped ahead to each block's first row, and returns the results in
@@ -37,10 +37,13 @@ __all__ = [
     "AdaptiveCubature",
     "RandomStream",
     "as_points",
+    "map_uniform_blocks",
     "run_algorithm",
+    "uniform_blocks",
 ]
 
 _BLOCK_ELEMENTS = 1 << 21  # elements of the largest temporary one kernel block builds
+_SAMPLE_BLOCK = 8192  # rows of every uniform sample block and convex evaluator query block
 
 
 class DomainError(ValueError):
@@ -260,8 +263,7 @@ class RandomStream:
 
 
 def _draw(
-    gen: np.random.Generator, indices: Iterable[int], total: int, dim: int, block: int,
-    buffer: np.ndarray,
+    gen: np.random.Generator, indices: Iterable[int], total: int, dim: int, buffer: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(i, rows of block i)`` for the increasing block indices ``indices``.
 
@@ -275,36 +277,33 @@ def _draw(
     own = np.random.Generator(bits)
     drawn = 0
     for i in indices:
-        lo = i * block
-        out = buffer[: min(block, total - lo)]
+        lo = i * _SAMPLE_BLOCK
+        out = buffer[: min(_SAMPLE_BLOCK, total - lo)]
         bits.advance(lo * dim - drawn)
         own.random(out=out)
         drawn = (lo + out.shape[0]) * dim
         yield i, out
 
 
-def _block_count(total: int, block: int) -> int:
-    if total < 0:
-        raise DomainError("sample count must be nonnegative")
-    if block < 1:
-        raise DomainError("block size must be positive")
-    return -(-total // block)
+def _block_count(total: int) -> int:
+    """Blocks of ``total`` samples: the one check of every Monte Carlo sample count."""
+    if total < 1:
+        raise DomainError("need at least one sample")
+    return -(-total // _SAMPLE_BLOCK)
 
 
-def uniform_blocks(
-    stream: RandomStream, total: int, dim: int, block: int = 8192
-) -> Iterator[np.ndarray]:
-    """Yield ``total`` uniform points in blocks of ``block``, the last holding the rest.
+def uniform_blocks(stream: RandomStream, total: int, dim: int) -> Iterator[np.ndarray]:
+    """Yield ``total`` >= 1 uniform points in blocks of ``_SAMPLE_BLOCK``, the rest in the last.
 
     The blocks are consecutive rows of the one generator ``stream`` builds, so
-    the points they make up depend on ``stream`` and ``total`` only, never on
-    ``block``.  Every block is one buffer that the next block overwrites.
-    The arguments are checked and the buffer allocated by the call itself;
-    the rows are drawn as the iterator is read.
+    the points depend on ``stream`` and ``total`` only.  No caller sets the
+    size: it is also the convex evaluator's query block, so each hull-integral
+    block is swept once.  Every block is one buffer that the next overwrites.
+    The call checks ``total`` and allocates the buffer; rows are drawn lazily.
     """
-    count = _block_count(total, block)
-    buffer = np.empty((min(block, total), dim))
-    return (pts for _, pts in _draw(stream.generator(), range(count), total, dim, block, buffer))
+    count = _block_count(total)
+    buffer = np.empty((min(_SAMPLE_BLOCK, total), dim))
+    return (pts for _, pts in _draw(stream.generator(), range(count), total, dim, buffer))
 
 
 def _cpu_count() -> int:
@@ -315,20 +314,21 @@ def _cpu_count() -> int:
 
 
 def map_uniform_blocks(
-    fn: Callable[[np.ndarray], object], stream: RandomStream, total: int, dim: int, block: int
+    fn: Callable[[np.ndarray], object], stream: RandomStream, total: int, dim: int
 ) -> list:
-    """``[fn(pts) for pts in uniform_blocks(stream, total, dim, block)]``, on every CPU.
+    """``[fn(pts) for pts in uniform_blocks(stream, total, dim)]``, on every CPU.
 
-    One thread per CPU of the affinity mask, but never more than there are
-    blocks: the calling thread and one started thread per further CPU, so
+    Blocks hold ``_SAMPLE_BLOCK`` rows, as in :func:`uniform_blocks`, which says
+    why.  One thread per CPU of the affinity mask, but never more than there
+    are blocks: the calling thread and one started thread per further CPU, so
     one block runs inline, with no thread started.  The threads take the
-    blocks in increasing order, one at a time, so a thread whose CPU the
-    host runs less takes fewer of them.  ``stream`` builds one generator,
-    and each thread draws its blocks from its own copy of it, jumped ahead
-    over the blocks the others took, into one buffer allocated on the
-    calling thread (a thread's own malloc arena keeps much of what it
-    frees).  Results come back in block order, so any reduction of them in
-    that order is bitwise the same on any CPU count.
+    blocks in increasing order, one at a time, so a thread whose CPU the host
+    runs less takes fewer of them.  ``stream`` builds one generator, and each
+    thread draws its blocks from its own copy of it, jumped ahead over the
+    blocks the others took, into one buffer allocated on the calling thread (a
+    thread's own malloc arena keeps much of what it frees).  Results come back
+    in block order, so any reduction of them in that order is bitwise the same
+    on any CPU count.
 
     ``fn`` may run on several threads at once and must not keep ``pts``,
     whose buffer its thread's next block overwrites.  Worker threads call
@@ -337,10 +337,10 @@ def map_uniform_blocks(
     earliest failing block, the one the serial loop meets, is raised
     unchanged.
     """
-    count = _block_count(total, block)
+    count = _block_count(total)
     gen = stream.generator()
-    workers = max(1, min(_cpu_count(), count))
-    buffers = [np.empty((min(block, total), dim)) for _ in range(workers)]
+    workers = min(_cpu_count(), count)
+    buffers = [np.empty((min(_SAMPLE_BLOCK, total), dim)) for _ in range(workers)]
     results: list = [None] * count
     failures: list[tuple[int, Exception]] = []
     order = iter(range(count))  # shared; each next(), atomic under the GIL, hands out a block
@@ -354,7 +354,7 @@ def map_uniform_blocks(
     def run(w: int) -> None:
         i = -1
         try:
-            for i, pts in _draw(gen, claim(), total, dim, block, buffers[w]):
+            for i, pts in _draw(gen, claim(), total, dim, buffers[w]):
                 results[i] = fn(pts)
         except Exception as exc:
             failures.append((i, exc))

@@ -171,10 +171,8 @@ def monte_carlo(oracle: EvalOracle, n: int, stream: RandomStream) -> tuple[float
     reduced in block order: the estimate depends only on the seed and n, not
     on the CPU count.
     """
-    if n < 1:
-        raise DomainError("need at least one sample")
     sums = map_uniform_blocks(lambda pts: float(oracle.evaluate(pts).sum()),
-                              stream.substream("mc"), n, oracle.dim, 8192)
+                              stream.substream("mc"), n, oracle.dim)
     return sum(sums) / n, 1.0 / math.sqrt(n)
 
 

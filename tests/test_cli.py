@@ -412,6 +412,19 @@ def test_config_errors_exit_2(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["quad", "--method", "mc", "--d", "2", "--n", "0"],
+    ["quad", "--method", "both", "--d", "2", "--n", "0"],
+    ["adversary", "--class", "convex", "--d", "2", "--mc-samples", "0"],
+    ["adversary", "--class", "convex", "--d", "2", "--mc-samples", "-3"],
+])
+def test_sample_counts_below_one_exit_2_with_one_message(tmp_path, capsys, argv):
+    # every Monte Carlo sample count is checked where its blocks are counted
+    assert cli.main([*argv, "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == "error: need at least one sample\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("problem_class", ["monotone", "convex"])
 @pytest.mark.parametrize("algorithm,dim", [
     ("uniform-random", 10), ("uniform-random", 70), ("grid-scan", 10), ("grid-scan", 70),

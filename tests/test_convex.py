@@ -159,13 +159,13 @@ def test_values_on_adjacent_blocks_equal_one_call(monkeypatch):
     # feeds them, take the same solves and give bitwise the same values.
     gen = RandomStream(35).substream("adjacent").generator()
     samples = gen.random((30, 6))
-    xs = gen.random((3 * convex._QUERY_BLOCK, 6))
+    xs = gen.random((3 * convex._SAMPLE_BLOCK, 6))
     pivots = _counting_solves(monkeypatch)
     whole = convex.MaximalConvexEvaluator(samples, 6).values(xs)
     whole_pivots = list(pivots)
     pivots.clear()
     evaluator = convex.MaximalConvexEvaluator(samples, 6)
-    cut = convex._QUERY_BLOCK
+    cut = convex._SAMPLE_BLOCK
     parts = np.concatenate([evaluator.values(xs[:cut]), evaluator.values(xs[cut:])])
     assert pivots == whole_pivots
     assert np.array_equal(parts, whole)

@@ -264,26 +264,34 @@ def test_uniform_random_designs_are_prefixes_of_larger_budgets():
         assert design.tobytes() == largest[:budget].tobytes()
 
 
-def test_uniform_blocks_do_not_depend_on_the_block_size():
+@pytest.mark.parametrize("algorithm_id", algorithms.ALGORITHM_IDS)
+def test_make_algorithm_rejects_a_negative_budget(algorithm_id):
+    with pytest.raises(DomainError, match="^budget must be nonnegative$"):
+        algorithms.make_algorithm(algorithm_id, 3, -1, RandomStream(0))
+
+
+def test_uniform_blocks_do_not_depend_on_the_block_size(monkeypatch):
     stream = RandomStream(9).substream("blocks")
     total, dim = 10_000, 3
     whole = stream.generator().random((total, dim))
     for block in (1, 1000, 8192):
+        monkeypatch.setattr(core, "_SAMPLE_BLOCK", block)
         # each block is one buffer that the next overwrites, so keep copies
-        blocks = [b.copy() for b in uniform_blocks(stream, total, dim, block)]
+        blocks = [b.copy() for b in uniform_blocks(stream, total, dim)]
         assert [b.shape[0] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert 1 <= blocks[-1].shape[0] <= block
         assert np.concatenate(blocks).tobytes() == whole.tobytes(), block
 
 
-def test_draw_jumps_over_skipped_blocks_and_leaves_the_generator_alone():
+def test_draw_jumps_over_skipped_blocks_and_leaves_the_generator_alone(monkeypatch):
     gen = RandomStream(9).substream("jump").generator()
     state = gen.bit_generator.state
     total, dim, block = 4500, 7, 1000
+    monkeypatch.setattr(core, "_SAMPLE_BLOCK", block)
     whole = RandomStream(9).substream("jump").generator().random((total, dim))
     for indices in ([], [0], [4], [1, 2, 4], [0, 3]):
-        drawn = [(i, b.copy()) for i, b in core._draw(gen, indices, total, dim, block,
-                                                        np.empty((block, dim)))]
+        drawn = [(i, b.copy())
+                 for i, b in core._draw(gen, indices, total, dim, np.empty((block, dim)))]
         assert [i for i, _ in drawn] == indices
         for i, b in drawn:
             assert b.tobytes() == whole[i * block : (i + 1) * block].tobytes(), (indices, i)
@@ -293,20 +301,36 @@ def test_draw_jumps_over_skipped_blocks_and_leaves_the_generator_alone():
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_map_uniform_blocks_returns_the_serial_results_in_block_order(monkeypatch, workers):
     monkeypatch.setattr(core, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(core, "_SAMPLE_BLOCK", 1000)
     stream = RandomStream(10).substream("map")
-    for total in (0, 1, 999, 1000, 1001, 5 * 1000 + 3):
-        serial = [b.sum(axis=1) for b in uniform_blocks(stream, total, 3, 1000)]
-        split = map_uniform_blocks(lambda pts: pts.sum(axis=1), stream, total, 3, 1000)
+    for total in (1, 999, 1000, 1001, 5 * 1000 + 3):
+        serial = [b.sum(axis=1) for b in uniform_blocks(stream, total, 3)]
+        split = map_uniform_blocks(lambda pts: pts.sum(axis=1), stream, total, 3)
         assert len(split) == len(serial)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(split, serial))
+
+
+@pytest.mark.parametrize("total", [0, -1])
+def test_sample_counts_below_one_raise_before_any_thread_starts(monkeypatch, total):
+    # core._block_count is the one check of every Monte Carlo sample count
+    monkeypatch.setattr(core, "_cpu_count", lambda: 4)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    before = threading.active_count()
+    for call in (lambda: uniform_blocks(RandomStream(12), total, 3),
+                 lambda: map_uniform_blocks(np.sum, RandomStream(12), total, 3)):
+        with pytest.raises(DomainError, match="^need at least one sample$"):
+            call()
+    assert started == [] and threading.active_count() == before
 
 
 def test_map_uniform_blocks_raises_the_earliest_failing_block_and_starts_none_after_one_fails(
     monkeypatch,
 ):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "_SAMPLE_BLOCK", 1000)
     stream = RandomStream(11)
-    firsts = [b[0, 0] for b in uniform_blocks(stream, 6000, 2, 1000)]
+    firsts = [b[0, 0] for b in uniform_blocks(stream, 6000, 2)]
     before = threading.active_count()
 
     def run(failing, slow, pause):
@@ -322,7 +346,7 @@ def test_map_uniform_blocks_raises_the_earliest_failing_block_and_starts_none_af
             return i
 
         with pytest.raises(DomainError) as caught:
-            map_uniform_blocks(fn, stream, 6000, 2, 1000)
+            map_uniform_blocks(fn, stream, 6000, 2)
         assert threading.active_count() == before
         return str(caught.value), set(started)
 
